@@ -1,0 +1,9 @@
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+
+import run  # noqa: E402
+
+run.cap_threads()
+run.import_sigcone()
