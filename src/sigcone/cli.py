@@ -35,9 +35,10 @@ def _load_config(suite: str, args: argparse.Namespace) -> SuiteConfig:
     return replace(config, **overrides) if overrides else config
 
 
-def _report_path(args: argparse.Namespace, name: str) -> Path:
-    if args.out:
-        out = Path(args.out)
+def _report_path(args: argparse.Namespace, config: SuiteConfig, name: str) -> Path:
+    out = args.out or config.output_path
+    if out:
+        out = Path(out)
         if len(_selected_suites(args)) == 1 and out.suffix:
             return out
         return out / f"{name}.report.jsonl"
@@ -53,7 +54,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     for name in _selected_suites(args):
         config = _load_config(name, args)
         result = run_suite(name, config)
-        path = _report_path(args, name)
+        path = _report_path(args, config, name)
         write_report(path, result)
         n_fail = sum(1 for r in result.rows if not r.verdict)
         status = "PASS" if result.passed else "FAIL"
@@ -94,7 +95,9 @@ def main(argv: list[str] | None = None) -> int:
     p_verify.add_argument("--seed", type=int)
     p_verify.add_argument("--nodes", type=int)
     p_verify.add_argument("--trials", type=int)
-    p_verify.add_argument("--out", help="report file (single suite) or directory")
+    p_verify.add_argument(
+        "--out", help="report file (single suite) or directory; default: the config's output_path"
+    )
     p_verify.set_defaults(func=_cmd_verify)
 
     p_study = sub.add_parser("study", help="error versus node count for one operation")

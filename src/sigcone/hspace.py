@@ -29,7 +29,7 @@ import numpy as np
 
 from .fibers import BumpExpansion, BumpFunction, BumpTerm, bump_values
 from .gamma import InvariantMeasure, SignatureSpec
-from .quadrature import QuadConfig, gl_rule, intersect_box, intersect_interval, tensor_rule
+from .quadrature import QuadConfig, gl_rule, hull_box, intersect_box, intersect_interval, tensor_rule
 
 _CHUNK_BUDGET = 2_000_000  # max x-points times gamma nodes held at once
 
@@ -198,7 +198,7 @@ class HalfDensityState:
         out_terms = []
         for t in self.terms:
             if not isinstance(t, BumpStateTerm):
-                raise ValueError("pulled-back terms have no bump representation; reapproximate first")
+                raise ValueError("pulled-back terms have no bump representation")
             out_terms.append(BumpTerm(t.coeff, t.x_factors + t.g_factors))
         return BumpExpansion(2 * self.n_blocks, tuple(out_terms))
 
@@ -220,16 +220,10 @@ class HalfDensityState:
     # geometry ------------------------------------------------------------------
 
     def x_hull(self) -> tuple[np.ndarray, np.ndarray] | None:
-        if not self.terms:
-            return None
-        boxes = [t.x_box() for t in self.terms]
-        return np.min([b[0] for b in boxes], axis=0), np.max([b[1] for b in boxes], axis=0)
+        return hull_box(t.x_box() for t in self.terms)
 
     def gamma_hull(self) -> tuple[np.ndarray, np.ndarray] | None:
-        if not self.terms:
-            return None
-        boxes = [t.gamma_box() for t in self.terms]
-        return np.min([b[0] for b in boxes], axis=0), np.max([b[1] for b in boxes], axis=0)
+        return hull_box(t.gamma_box() for t in self.terms)
 
     def value(self, x: np.ndarray, gamma: np.ndarray) -> np.ndarray:
         """Pointwise coordinate values psi(x, gamma)."""
@@ -481,10 +475,6 @@ def graded_inner(g1: GradedState, g2: GradedState, quad: QuadConfig) -> complex:
     return complex(total)
 
 
-def graded_norm(g: GradedState, quad: QuadConfig) -> float:
-    return math.sqrt(max(graded_inner(g, g, quad).real, 0.0))
-
-
 # -- the non-integrable profile --------------------------------------------------
 
 
@@ -543,66 +533,3 @@ def fit_divergence(rows: Sequence[tuple[float, float]]) -> DivergenceFit:
         slope_extrapolated=float(2.0 * s01 - s12),
     )
 
-
-# -- optional re-approximation of composite states --------------------------------
-
-
-def reapproximate(
-    s: HalfDensityState, quad: QuadConfig, centers_per_dim: int = 8
-) -> tuple[HalfDensityState, float]:
-    """Project a state onto a tensor bump dictionary; returns (state, rel L2 error).
-
-    Useful for chaining after pull-backs, which otherwise stay composite.
-    """
-    if s.n_blocks != 1:
-        raise ValueError("re-approximation is implemented for single-block states")
-    xh = s.x_hull()
-    gh = s.gamma_hull()
-    if xh is None or gh is None:
-        return HalfDensityState(s.n_blocks, s.measure, ()), 0.0
-    lo = np.concatenate([xh[0], gh[0]])
-    hi = np.concatenate([xh[1], gh[1]])
-    d = 2 * s.n_blocks
-    step = (hi - lo) / centers_per_dim
-    centers_1d = [lo[j] + step[j] * (np.arange(centers_per_dim) + 0.5) for j in range(d)]
-    widths = step * 1.45
-    # keep the gamma dictionary strictly inside the cone
-    for j in range(s.n_blocks, d):
-        edge = float(np.min(np.abs(centers_1d[j]))) * 0.9
-        widths[j] = min(widths[j], edge)
-
-    from itertools import product as iproduct
-
-    combos = list(iproduct(range(centers_per_dim), repeat=d))
-    sample_per_dim = 2 * centers_per_dim + 3
-    axes = [
-        np.linspace(lo[j] + 0.05 * step[j], hi[j] - 0.05 * step[j], sample_per_dim)
-        for j in range(d)
-    ]
-    grids = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
-    target = s.value(pts[:, : s.n_blocks], pts[:, s.n_blocks :])
-    design = np.empty((len(pts), len(combos)))
-    for c_idx, combo in enumerate(combos):
-        col = np.ones(len(pts))
-        for j, cj in enumerate(combo):
-            col *= bump_values(
-                np.full(len(pts), centers_1d[j][cj]), np.full(len(pts), widths[j]), pts[:, j]
-            )
-        design[:, c_idx] = col
-    coeffs, *_ = np.linalg.lstsq(design, target, rcond=None)
-    terms = []
-    for c_idx, combo in enumerate(combos):
-        z = complex(coeffs[c_idx])
-        if abs(z) < 1e-14:
-            continue
-        xf = tuple(BumpFunction(float(centers_1d[j][combo[j]]), float(widths[j])) for j in range(s.n_blocks))
-        gf = tuple(
-            BumpFunction(float(centers_1d[j][combo[j]]), float(widths[j]))
-            for j in range(s.n_blocks, d)
-        )
-        terms.append(BumpStateTerm(z, xf, gf))
-    approx = HalfDensityState(s.n_blocks, s.measure, tuple(terms))
-    target_norm = norm(s, quad)
-    err = norm(s - approx, quad) / target_norm if target_norm > 0 else 0.0
-    return approx, float(err)

@@ -51,19 +51,9 @@ class SparseSection:
                 raise ValueError("fiber value has the wrong number of coordinates")
         object.__setattr__(self, "entries", tuple(sorted(self.entries, key=lambda e: e[0].canonical)))
 
-    @classmethod
-    def from_dict(cls, n_blocks: int, measure: InvariantMeasure, data: Mapping[PointSet, BumpExpansion]) -> "SparseSection":
-        return cls(n_blocks, measure, tuple(data.items()))
-
     @property
     def support(self) -> tuple[PointSet, ...]:
         return tuple(y for y, _ in self.entries)
-
-    def value(self, y: PointSet) -> BumpExpansion:
-        for point, fib in self.entries:
-            if point == y:
-                return fib
-        return BumpExpansion(self.n_blocks, ())
 
     def fiber_space(self) -> FiberSpace:
         return FiberSpace(self.measure, self.n_blocks)
@@ -215,7 +205,3 @@ def graded_k_inner(
         if s2 is not None:
             total += k_inner(s1, s2, quad)
     return complex(total)
-
-
-def graded_k_norm(g: Mapping[int, SparseSection], quad: QuadConfig) -> float:
-    return math.sqrt(max(graded_k_inner(g, g, quad).real, 0.0))

@@ -7,7 +7,6 @@ deterministic for a given ``QuadConfig``, so repeated runs are bit-stable.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator
@@ -20,27 +19,16 @@ Box = tuple[np.ndarray, np.ndarray]
 
 @dataclass(frozen=True)
 class QuadConfig:
-    """Node budget per dimension and the relative tolerance quoted in reports."""
+    """Gauss-Legendre node budget per dimension."""
 
     nodes_per_dim: int = 48
-    rel_tol_report: float = 1e-8
 
     def __post_init__(self) -> None:
         if self.nodes_per_dim < 2:
             raise ValueError("quadrature needs at least 2 nodes per dimension")
 
-    def dumps(self) -> str:
-        return json.dumps(
-            {"nodes_per_dim": self.nodes_per_dim, "rel_tol_report": self.rel_tol_report}
-        )
-
-    @classmethod
-    def loads(cls, text: str) -> "QuadConfig":
-        d = json.loads(text)
-        return cls(nodes_per_dim=int(d["nodes_per_dim"]), rel_tol_report=float(d["rel_tol_report"]))
-
     def doubled(self) -> "QuadConfig":
-        return QuadConfig(2 * self.nodes_per_dim, self.rel_tol_report)
+        return QuadConfig(2 * self.nodes_per_dim)
 
 
 @lru_cache(maxsize=None)
@@ -78,11 +66,6 @@ def tensor_rule(lo: np.ndarray, hi: np.ndarray, m: int) -> tuple[np.ndarray, np.
     for _, w in axes[1:]:
         wts = np.multiply.outer(wts, w)
     return pts, np.asarray(wts).ravel()
-
-
-def quad_box(f: Callable[[np.ndarray], np.ndarray], lo, hi, m: int) -> complex:
-    pts, wts = tensor_rule(np.asarray(lo, float), np.asarray(hi, float), m)
-    return np.dot(wts, f(pts))
 
 
 def intersect_interval(lo1: float, hi1: float, lo2: float, hi2: float) -> tuple[float, float] | None:

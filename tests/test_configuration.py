@@ -204,6 +204,20 @@ def test_transported_chart_is_the_atlas_image(theta, rng):
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
+def test_transported_chart_composes(rng):
+    th1, th2 = soft(0.8, 0.9), sine(0.45)
+    base = np.array([1.0, 2.5, 4.0])
+    chart = local_chart(point_set(*base), 0.3)
+    twice = chart.transported(th1).transported(th2)
+    for _ in range(10):
+        probe = point_set(*(base + rng.uniform(-0.2, 0.2, size=3)))
+        moved = induced_diffeo(ComposedDiffeo(th2, th1), probe)
+        coords = chart.chart_map(probe)
+        assert np.max(np.abs(twice.chart_map(moved) - coords)) < 1e-12
+        back = twice.inverse_map(coords)
+        assert np.max(np.abs(np.subtract(back.values, moved.values))) < 1e-12
+
+
 @pytest.mark.parametrize("theta", CATALOG)
 def test_block_pullback_matches_per_point_law(theta, rng):
     for _ in range(10):

@@ -119,6 +119,18 @@ def test_fiber_inner_support_violation():
         fiber_inner(crossing, crossing, fiber, QUAD)
 
 
+def test_fiber_inner_support_violation_n2():
+    from sigcone.gamma import SupportError, integrate_gamma
+
+    meas = InvariantMeasure(SignatureSpec(2, 0), 1.0)
+    # a, c in (0.6, 1.4) and b in (0.5, 1.3): det = ac - b^2 changes sign
+    crossing = product_bump(1.0, [1.0, 0.9, 1.0], [0.4, 0.4, 0.4])
+    with pytest.raises(SupportError):
+        integrate_gamma(crossing, meas, QUAD)
+    with pytest.raises(SupportError):
+        fiber_inner(crossing, crossing, FiberSpace(meas, 1), QUAD)
+
+
 def test_normalized():
     fiber = FiberSpace(MEAS, 1)
     f = normalized(product_bump(3.0, [2.0], [0.5]), fiber, QUAD)

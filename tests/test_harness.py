@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -25,6 +26,29 @@ def test_config_roundtrip_and_validation():
         SuiteConfig(nodes_per_dim=4)
     with pytest.raises(ValueError):
         SuiteConfig(n_max=7)
+
+
+def test_measure_invariance_doubled_rule_floor():
+    # at this seed the 32-node error of inv-n2-010 (1.2e-9) is lowered by the two
+    # sides cancelling, and lies below the 64-node error (1.5e-9)
+    config = default_config("measure-invariance", seed=1010, trials=11)
+    result = run_suite("measure-invariance", config)
+    assert result.passed
+    row = next(r for r in result.rows if r.case_id == "inv-n2-010@64")
+    assert row.rel_err < 1e-7
+
+
+def test_report_written_once_to_output_path(tmp_path, monkeypatch):
+    monkeypatch.setenv("SIGCONE_OUT_DIR", str(tmp_path / "default"))
+    target = tmp_path / "resc.jsonl"
+    config = replace(default_config("rescaling", trials=2), output_path=str(target))
+    run_suite("rescaling", config)
+    assert not target.exists()
+    config_file = tmp_path / "config.json"
+    config_file.write_text(config.dumps())
+    assert main(["verify", "rescaling", "--config", str(config_file)]) == 0
+    assert json.loads(target.read_text().splitlines()[-1])["summary"]["all_pass"] is True
+    assert not (tmp_path / "default").exists()
 
 
 def test_unknown_suite():

@@ -18,7 +18,6 @@ from sigcone.hspace import (
     norm,
     pair_to_density,
     pullback,
-    reapproximate,
     rescale_iso,
 )
 from sigcone.quadrature import QuadConfig, quad_1d
@@ -280,18 +279,3 @@ def test_serialization_roundtrip_and_linearity(rng):
     assert np.max(np.abs(combo_rep(pts) - direct)) < 1e-14
     with pytest.raises(ValueError):
         pullback(sine(0.45), s1).to_expansion()
-
-
-def test_reapproximate_pullback_state():
-    # modest fit quality is expected from a fixed bump dictionary; what matters
-    # is the honest error report and that refinement helps
-    s = simple_state(1.0, xc=0.5, xw=0.5, gc=2.0, gw=0.6)
-    pulled = pullback(sine(0.45), s)
-    coarse, err8 = reapproximate(pulled, QuadConfig(32), centers_per_dim=8)
-    approx, err12 = reapproximate(pulled, QuadConfig(32), centers_per_dim=12)
-    assert err12 < err8 < 0.1
-    a = inner(approx, approx, QuadConfig(32)).real
-    b = inner(pulled, pulled, QuadConfig(32)).real
-    assert abs(a - b) < 0.1 * b
-    with pytest.raises(ValueError):
-        reapproximate(random_state(np.random.default_rng(0), 2, MEAS), QUAD)

@@ -11,7 +11,6 @@ from sigcone.quadrature import (
     intersect_box,
     intersect_interval,
     quad_1d,
-    quad_box,
     tensor_rule,
 )
 
@@ -27,10 +26,9 @@ def bump(t):
     return out
 
 
-def test_config_roundtrip_and_validation():
-    q = QuadConfig(32, 1e-6)
-    assert QuadConfig.loads(q.dumps()) == q
-    assert q.doubled().nodes_per_dim == 64
+def test_config_validation():
+    q = QuadConfig(32)
+    assert q.doubled() == QuadConfig(64)
     with pytest.raises(ValueError):
         QuadConfig(1)
 
@@ -52,7 +50,8 @@ def test_bump_mass_matches_adaptive_oracle():
 
 def test_tensor_rule_factorizes():
     lo, hi = np.array([0.0, 1.0, -1.0]), np.array([1.0, 2.0, 1.0])
-    got = quad_box(lambda p: p[:, 0] ** 2 * p[:, 1] * np.cos(p[:, 2]), lo, hi, 16)
+    pts, wts = tensor_rule(lo, hi, 16)
+    got = np.dot(wts, pts[:, 0] ** 2 * pts[:, 1] * np.cos(pts[:, 2]))
     want = (1.0 / 3.0) * (3.0 / 2.0) * (np.sin(1.0) - np.sin(-1.0))
     assert abs(got - want) < 1e-12
     pts, wts = tensor_rule(lo, hi, 5)
