@@ -15,44 +15,13 @@ import time
 import zlib
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from . import configuration as cfg
 from . import fibers, gamma, hspace, kspace
 from .quadrature import QuadConfig, quad_1d
-
-SUITE_NAMES = (
-    "measure-invariance",
-    "pushforward-product",
-    "density-axioms",
-    "pairing-continuity",
-    "unitarity",
-    "representation-law",
-    "rescaling",
-    "counterexample",
-    "kspace-axioms",
-    "kspace-density",
-    "graded-orthogonality",
-    "chart-atlas",
-)
-
-_SUITE_DEFAULTS: dict[str, tuple[int, int]] = {
-    # suite -> (nodes_per_dim, trials)
-    "measure-invariance": (32, 50),
-    "pushforward-product": (48, 20),
-    "density-axioms": (48, 30),
-    "pairing-continuity": (48, 10),
-    "unitarity": (48, 20),
-    "representation-law": (48, 10),
-    "rescaling": (16, 6),
-    "counterexample": (200, 1),
-    "kspace-axioms": (48, 10),
-    "kspace-density": (48, 1),
-    "graded-orthogonality": (32, 6),
-    "chart-atlas": (16, 10000),
-}
 
 DEFAULT_CATALOG = (
     cfg.identity(),
@@ -84,8 +53,8 @@ class SuiteConfig:
             raise ValueError("need at least one trial")
         if self.nodes_per_dim < 8:
             raise ValueError("suites need at least 8 nodes per dimension")
-        if self.n_max > 4:
-            raise ValueError("block counts above 4 are out of scope")
+        if not 1 <= self.n_max <= 4:
+            raise ValueError("n_max must lie in 1..4")
 
     def quad(self) -> QuadConfig:
         return QuadConfig(nodes_per_dim=self.nodes_per_dim)
@@ -160,6 +129,30 @@ def _rng(config: SuiteConfig, label: str) -> np.random.Generator:
 
 def _rel(a: complex, b: complex) -> float:
     return abs(a - b) / max(abs(a), 1e-300)
+
+
+class _Rows:
+    """One suite's rows; a row's ``elapsed_ms`` is the wall time since the row before it."""
+
+    def __init__(self, suite: str, config: SuiteConfig) -> None:
+        self.suite = suite
+        self.config = config
+        self.rows: list[ReportRow] = []
+        self._last = time.perf_counter()
+
+    def cases(self, prefix: str) -> Iterator[tuple[int, str, np.random.Generator]]:
+        """``(i, label, rng)`` per trial; the seed and the label fix the case's substream."""
+        for i in range(self.config.trials):
+            label = f"{prefix}-{i:03d}"
+            yield i, label, _rng(self.config, label)
+
+    def add(self, case_id: str, lhs, rhs, rel_err: float, verdict: bool, nodes: int | None = None) -> None:
+        now = time.perf_counter()
+        nodes = self.config.nodes_per_dim if nodes is None else nodes
+        self.rows.append(
+            ReportRow(self.suite, case_id, lhs, rhs, rel_err, nodes, (now - self._last) * 1e3, verdict)
+        )
+        self._last = now
 
 
 # -- seeded case material ------------------------------------------------------
@@ -259,36 +252,22 @@ def _tensor_expansion(f1: fibers.BumpExpansion, f2: fibers.BumpExpansion) -> fib
 # -- suites --------------------------------------------------------------------
 
 
-def _suite_measure_invariance(config: SuiteConfig) -> list[ReportRow]:
-    rows = []
+def _suite_measure_invariance(config: SuiteConfig, out: _Rows) -> None:
     base = QuadConfig(config.nodes_per_dim)
     for n, spec_choices in ((1, [(1, 0), (0, 1)]), (2, [(2, 0), (1, 1)])):
-        for i in range(config.trials):
-            label = f"inv-n{n}-{i:03d}"
-            rng = _rng(config, label)
+        for i, label, rng in out.cases(f"inv-n{n}"):
             spec = gamma.SignatureSpec(*spec_choices[i % len(spec_choices)])
             measure = gamma.InvariantMeasure(spec, scale_c=float(rng.uniform(0.5, 2.0)))
             f = random_cone_expansion(spec, rng, n_terms=1 + i % 2)
             g = gamma.random_gl(spec.n, rng, spread=0.18)
             rep1 = gamma.verify_invariance(f, g, measure, base)
             rep2 = gamma.verify_invariance(f, g, measure, base.doubled())
-            rows.append(
-                ReportRow(
-                    "measure-invariance", label + f"@{base.nodes_per_dim}",
-                    rep1.lhs, rep1.rhs, rep1.rel_err, rep1.nodes, 0.0,
-                    rep1.rel_err < 1e-5,
-                )
-            )
-            rows.append(
-                ReportRow(
-                    "measure-invariance", label + f"@{2 * base.nodes_per_dim}",
-                    rep2.lhs, rep2.rhs, rep2.rel_err, rep2.nodes, 0.0,
-                    # the doubled rule reaches only ~1e-9 on sheared n=2 supports, and the
-                    # base error can fall below that when the two sides' errors cancel
-                    rep2.rel_err < max(rep1.rel_err, 1e-7),
-                )
-            )
-    return rows
+            out.add(label + f"@{base.nodes_per_dim}", rep1.lhs, rep1.rhs, rep1.rel_err,
+                    rep1.rel_err < 1e-5, nodes=rep1.nodes)
+            # the doubled rule reaches only ~1e-9 on sheared n=2 supports, and the
+            # base error can fall below that when the two sides' errors cancel
+            out.add(label + f"@{2 * base.nodes_per_dim}", rep2.lhs, rep2.rhs, rep2.rel_err,
+                    rep2.rel_err < max(rep1.rel_err, 1e-7), nodes=rep2.nodes)
 
 
 def _pushforward_case(rng: np.random.Generator, i: int):
@@ -326,29 +305,19 @@ def _pushforward_case(rng: np.random.Generator, i: int):
     return alpha, beta, h, mu, nu
 
 
-def _suite_pushforward_product(config: SuiteConfig) -> list[ReportRow]:
-    rows = []
+def _suite_pushforward_product(config: SuiteConfig, out: _Rows) -> None:
     quad = config.quad()
-    for i in range(config.trials):
-        label = f"push-{i:03d}"
-        rng = _rng(config, label)
+    for i, label, rng in out.cases("push"):
         alpha, beta, h, mu, nu = _pushforward_case(rng, i)
         rep = fibers.pushforward_product_check(alpha, beta, h, mu, nu, quad)
-        rows.append(
-            ReportRow("pushforward-product", label, rep.lhs, rep.rhs, rep.rel_err, rep.nodes, 0.0,
-                      rep.rel_err < 1e-7)
-        )
-    return rows
+        out.add(label, rep.lhs, rep.rhs, rep.rel_err, rep.rel_err < 1e-7)
 
 
-def _suite_density_axioms(config: SuiteConfig) -> list[ReportRow]:
+def _suite_density_axioms(config: SuiteConfig, out: _Rows) -> None:
     from . import densities as dens
 
-    rows = []
     quad = config.quad()
-    for i in range(config.trials):
-        label = f"dens-{i:03d}"
-        rng = _rng(config, label)
+    for i, label, rng in out.cases("dens"):
         spec = gamma.SignatureSpec(1, 0) if i % 3 else gamma.SignatureSpec(2, 0)
         measure = gamma.InvariantMeasure(spec, 1.0)
         fiber = fibers.FiberSpace(measure, 1)
@@ -362,44 +331,34 @@ def _suite_density_axioms(config: SuiteConfig) -> list[ReportRow]:
             z1 * dens.density_product(w0, w1, quad).ref_value
             + z2 * dens.density_product(w0, w2, quad).ref_value
         )
-        scale = max(abs(lhs), abs(rhs), 1e-30)
-        rows.append(ReportRow("density-axioms", label + "-sesq", lhs, rhs, abs(lhs - rhs) / scale,
-                              quad.nodes_per_dim, 0.0, abs(lhs - rhs) / scale < 1e-10))
+        rel = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-30)
+        out.add(label + "-sesq", lhs, rhs, rel, rel < 1e-10)
         p12 = dens.density_product(w1, w2, quad).ref_value
         p21 = dens.density_product(w2, w1, quad).ref_value
-        rows.append(ReportRow("density-axioms", label + "-herm", np.conj(p21), p12,
-                              _rel(np.conj(p21), p12), quad.nodes_per_dim, 0.0,
-                              _rel(np.conj(p21), p12) < 1e-12))
+        rel = _rel(np.conj(p21), p12)
+        out.add(label + "-herm", np.conj(p21), p12, rel, rel < 1e-12)
         e = dens.Basis.from_array(np.eye(spec.n) * rng.uniform(0.5, 2.0))
         norm_val = dens.evaluate(dens.density_product(w1, w1, quad), e)
-        rows.append(ReportRow("density-axioms", label + "-pos", norm_val, 0.0, 0.0,
-                              quad.nodes_per_dim, 0.0, complex(norm_val).real >= 0.0))
+        out.add(label + "-pos", norm_val, 0.0, 0.0, complex(norm_val).real >= 0.0)
         # transformation chain on a scalar-valued density
         w = dens.AlphaDensity(float(rng.choice([0.5, 1.0])), complex(rng.uniform(0.2, 1.0)))
-        n_dim = 2
-        l1 = gamma.random_gl(n_dim, rng, 0.5).matrix
-        l2 = gamma.random_gl(n_dim, rng, 0.5).matrix
+        l1 = gamma.random_gl(2, rng, 0.5).matrix
+        l2 = gamma.random_gl(2, rng, 0.5).matrix
         lhs_c = dens.evaluate(w, dens.Basis.from_array(l2 @ l1))
         rhs_c = abs(np.linalg.det(l2)) ** w.alpha * dens.evaluate(w, dens.Basis.from_array(l1))
-        rows.append(ReportRow("density-axioms", label + "-chain", lhs_c, rhs_c, _rel(lhs_c, rhs_c),
-                              quad.nodes_per_dim, 0.0, _rel(lhs_c, rhs_c) < 1e-10))
+        rel = _rel(lhs_c, rhs_c)
+        out.add(label + "-chain", lhs_c, rhs_c, rel, rel < 1e-10)
         # vanishing density product forces a vanishing fiber norm
         wz = dens.lin_comb(1.0, w1, -1.0, w1)
         zz = dens.density_product(wz, wz, quad).ref_value
         fib_norm = fibers.fiber_inner(wz.ref_value, wz.ref_value, fiber, quad).real
-        ok = abs(zz) < 1e-12 and fib_norm < 1e-12
-        rows.append(ReportRow("density-axioms", label + "-null", zz, fib_norm, abs(zz),
-                              quad.nodes_per_dim, 0.0, ok))
-    return rows
+        out.add(label + "-null", zz, fib_norm, abs(zz), abs(zz) < 1e-12 and fib_norm < 1e-12)
 
 
-def _suite_pairing_continuity(config: SuiteConfig) -> list[ReportRow]:
-    rows = []
+def _suite_pairing_continuity(config: SuiteConfig, out: _Rows) -> None:
     quad = config.quad()
     spec = gamma.SignatureSpec(*config.signature)
-    for i in range(config.trials):
-        label = f"pair-{i:03d}"
-        rng = _rng(config, label)
+    for i, label, rng in out.cases("pair"):
         measure = gamma.InvariantMeasure(spec, float(rng.uniform(0.5, 2.0)))
         n_blocks = 1 + i % 2
         s = random_state(rng, n_blocks, measure, n_terms=1)
@@ -413,18 +372,16 @@ def _suite_pairing_continuity(config: SuiteConfig) -> list[ReportRow]:
             expected *= complex(
                 quad_1d(lambda u, g=g: g(u) ** 2 * measure.scale_c / np.abs(u), g.lo, g.hi, quad.nodes_per_dim)
             )
-        rows.append(ReportRow("pairing-continuity", label + "-factor", got, expected,
-                              _rel(got, expected), quad.nodes_per_dim, 0.0, _rel(got, expected) < 1e-8))
+        rel = _rel(got, expected)
+        out.add(label + "-factor", got, expected, rel, rel < 1e-8)
         # continuity modulus at the support center
-        deltas = [0.2, 0.1, 0.05]
         diffs = []
-        for dlt in deltas:
+        for dlt in (0.2, 0.1, 0.05):
             xp = x0.copy()
             xp[0] += dlt * term.x_factors[0].width
             diffs.append(abs(complex(dens_fn(xp[None, :])[0]) - got))
-        decreasing = diffs[0] >= diffs[1] >= diffs[2]
-        rows.append(ReportRow("pairing-continuity", label + "-cont", diffs[0], diffs[2],
-                              diffs[2] / max(abs(got), 1e-30), quad.nodes_per_dim, 0.0, decreasing))
+        out.add(label + "-cont", diffs[0], diffs[2], diffs[2] / max(abs(got), 1e-30),
+                diffs[0] >= diffs[1] >= diffs[2])
         # disjoint x supports pair to the zero density
         far = hspace.HalfDensityState(
             n_blocks, measure,
@@ -438,18 +395,13 @@ def _suite_pairing_continuity(config: SuiteConfig) -> list[ReportRow]:
             ),
         )
         z = hspace.inner(s, far, quad)
-        rows.append(ReportRow("pairing-continuity", label + "-disjoint", z, 0.0, abs(z),
-                              quad.nodes_per_dim, 0.0, z == 0.0))
-    return rows
+        out.add(label + "-disjoint", z, 0.0, abs(z), z == 0.0)
 
 
-def _suite_unitarity(config: SuiteConfig) -> list[ReportRow]:
-    rows = []
+def _suite_unitarity(config: SuiteConfig, out: _Rows) -> None:
     quad = config.quad()
     spec = gamma.SignatureSpec(*config.signature)
-    for i in range(config.trials):
-        label = f"unit-{i:03d}"
-        rng = _rng(config, label)
+    for i, label, rng in out.cases("unit"):
         measure = gamma.InvariantMeasure(spec, float(rng.uniform(0.5, 2.0)))
         n_blocks = 1 + i % min(2, config.n_max)
         s1 = random_state(rng, n_blocks, measure, n_terms=2)
@@ -459,18 +411,13 @@ def _suite_unitarity(config: SuiteConfig) -> list[ReportRow]:
         for theta in config.diffeo_catalog:
             moved = hspace.inner(hspace.pullback(theta, s1), hspace.pullback(theta, s2), quad)
             rel = abs(moved - base) / max(scale, 1e-300)
-            rows.append(ReportRow("unitarity", f"{label}-{theta.tag}{theta.params}", moved, base,
-                                  rel, quad.nodes_per_dim, 0.0, rel < 1e-5))
-    return rows
+            out.add(f"{label}-{theta.tag}{theta.params}", moved, base, rel, rel < 1e-5)
 
 
-def _suite_representation_law(config: SuiteConfig) -> list[ReportRow]:
-    rows = []
+def _suite_representation_law(config: SuiteConfig, out: _Rows) -> None:
     spec = gamma.SignatureSpec(*config.signature)
     catalog = [t for t in config.diffeo_catalog if t.tag != "identity"] or list(config.diffeo_catalog)
-    for i in range(config.trials):
-        label = f"rep-{i:03d}"
-        rng = _rng(config, label)
+    for i, label, rng in out.cases("rep"):
         measure = gamma.InvariantMeasure(spec, 1.0)
         n_blocks = 1 + i % min(2, config.n_max)
         s = random_state(rng, n_blocks, measure, n_terms=1)
@@ -480,30 +427,20 @@ def _suite_representation_law(config: SuiteConfig) -> list[ReportRow]:
         joint = hspace.pullback(cfg.ComposedDiffeo(th1, th2), s)
         xh = seq.x_hull()
         gh = seq.gamma_hull()
-        xs = np.column_stack(
-            [rng.uniform(xh[0][k], xh[1][k], size=200) for k in range(n_blocks)]
-        )
-        gs = np.column_stack(
-            [rng.uniform(gh[0][k], gh[1][k], size=200) for k in range(n_blocks)]
-        )
+        xs = np.column_stack([rng.uniform(xh[0][k], xh[1][k], size=200) for k in range(n_blocks)])
+        gs = np.column_stack([rng.uniform(gh[0][k], gh[1][k], size=200) for k in range(n_blocks)])
         va = seq.value(xs, gs)
         vb = joint.value(xs, gs)
         scale = max(np.max(np.abs(va)), 1e-30)
         err = float(np.max(np.abs(va - vb)) / scale)
-        rows.append(ReportRow("representation-law", f"{label}-{th1.tag}-{th2.tag}",
-                              complex(va[np.argmax(np.abs(va - vb))]),
-                              complex(vb[np.argmax(np.abs(va - vb))]),
-                              err, config.nodes_per_dim, 0.0, err < 1e-10))
-    return rows
+        at = np.argmax(np.abs(va - vb))
+        out.add(f"{label}-{th1.tag}-{th2.tag}", complex(va[at]), complex(vb[at]), err, err < 1e-10)
 
 
-def _suite_rescaling(config: SuiteConfig) -> list[ReportRow]:
-    rows = []
+def _suite_rescaling(config: SuiteConfig, out: _Rows) -> None:
     quad = config.quad()
     spec = gamma.SignatureSpec(*config.signature)
-    for i in range(config.trials):
-        label = f"resc-{i:03d}"
-        rng = _rng(config, label)
+    for i, label, rng in out.cases("resc"):
         n_blocks = 1 + i % min(3, config.n_max)
         measure = gamma.InvariantMeasure(spec, 1.0)
         s = random_state(rng, n_blocks, measure, n_terms=2)
@@ -512,9 +449,7 @@ def _suite_rescaling(config: SuiteConfig) -> list[ReportRow]:
             moved = hspace.rescale_iso(s, 1.0, c_new)
             after = hspace.inner(moved, moved, quad).real
             rel = abs(after - before) / max(before, 1e-300)
-            rows.append(ReportRow("rescaling", f"{label}-N{n_blocks}-c{c_new}", after, before, rel,
-                                  quad.nodes_per_dim, 0.0, rel < 1e-14))
-    return rows
+            out.add(f"{label}-N{n_blocks}-c{c_new}", after, before, rel, rel < 1e-14)
 
 
 def _exact_profile(x: np.ndarray) -> np.ndarray:
@@ -522,41 +457,28 @@ def _exact_profile(x: np.ndarray) -> np.ndarray:
     return 1.0 / (12.0 * x) - 2.0 / 3.0 - x * np.log(x) + (2.0 / 3.0) * x**2 - x**3 / 12.0
 
 
-def _suite_counterexample(config: SuiteConfig) -> list[ReportRow]:
-    rows = []
+def _suite_counterexample(config: SuiteConfig, out: _Rows) -> None:
     grid = [2.0**-k for k in range(4, 13)]
-    table = hspace.counterexample_profile(grid)
-    fit = hspace.fit_divergence(table)
-    rows.append(ReportRow("counterexample", "slope-extrapolated", fit.slope_extrapolated, -1.0,
-                          abs(fit.slope_extrapolated + 1.0), config.nodes_per_dim, 0.0,
-                          abs(fit.slope_extrapolated + 1.0) <= 0.05))
-    rows.append(ReportRow("counterexample", "slope-local", fit.slope_local, -1.0,
-                          abs(fit.slope_local + 1.0), config.nodes_per_dim, 0.0,
-                          abs(fit.slope_local + 1.0) <= 0.05))
+    fit = hspace.fit_divergence(hspace.counterexample_profile(grid))
+    for case_id, slope in (("slope-extrapolated", fit.slope_extrapolated), ("slope-local", fit.slope_local)):
+        err = abs(slope + 1.0)
+        out.add(case_id, slope, -1.0, err, err <= 0.05)
     exact_fit = hspace.fit_divergence([(x, float(_exact_profile(np.array([x]))[0])) for x in grid])
-    rows.append(ReportRow("counterexample", "slope-ols-vs-analytic", fit.slope_ols,
-                          exact_fit.slope_ols, abs(fit.slope_ols - exact_fit.slope_ols),
-                          config.nodes_per_dim, 0.0,
-                          abs(fit.slope_ols - exact_fit.slope_ols) < 1e-6))
+    err = abs(fit.slope_ols - exact_fit.slope_ols)
+    out.add("slope-ols-vs-analytic", fit.slope_ols, exact_fit.slope_ols, err, err < 1e-6)
     got_half = hspace.counterexample_profile([0.5])[0][1]
     want_half = float(_exact_profile(np.array([0.5]))[0])
-    rows.append(ReportRow("counterexample", "value-at-half", got_half, want_half,
-                          _rel(got_half, want_half), config.nodes_per_dim, 0.0,
-                          _rel(got_half, want_half) < 1e-10))
+    rel = _rel(got_half, want_half)
+    out.add("value-at-half", got_half, want_half, rel, rel < 1e-10)
     # gamma-section supports union up to 1/x even though each one is compact
     hi_support = 1.0 / grid[-1]
-    rows.append(ReportRow("counterexample", "support-union", hi_support, 2.0**12, 0.0,
-                          config.nodes_per_dim, 0.0, hi_support >= 2.0**12))
-    return rows
+    out.add("support-union", hi_support, 2.0**12, 0.0, hi_support >= 2.0**12)
 
 
-def _suite_kspace_axioms(config: SuiteConfig) -> list[ReportRow]:
-    rows = []
+def _suite_kspace_axioms(config: SuiteConfig, out: _Rows) -> None:
     quad = config.quad()
     spec = gamma.SignatureSpec(*config.signature)
-    for i in range(config.trials):
-        label = f"kax-{i:03d}"
-        rng = _rng(config, label)
+    for i, label, rng in out.cases("kax"):
         measure = gamma.InvariantMeasure(spec, float(rng.uniform(0.5, 2.0)))
         n_blocks = 1 + i % min(2, config.n_max)
         pool = [random_point_set(rng, n_blocks) for _ in range(4)]
@@ -567,25 +489,20 @@ def _suite_kspace_axioms(config: SuiteConfig) -> list[ReportRow]:
         z2 = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
         lhs = kspace.k_inner(s0, s1.scaled(z1) + s2.scaled(z2), quad)
         rhs = z1 * kspace.k_inner(s0, s1, quad) + z2 * kspace.k_inner(s0, s2, quad)
-        rows.append(ReportRow("kspace-axioms", label + "-sesq", lhs, rhs, _rel(lhs, rhs),
-                              quad.nodes_per_dim, 0.0, _rel(lhs, rhs) < 1e-9))
+        rel = _rel(lhs, rhs)
+        out.add(label + "-sesq", lhs, rhs, rel, rel < 1e-9)
         a = kspace.k_inner(s0, s1, quad)
         b = kspace.k_inner(s1, s0, quad)
-        rows.append(ReportRow("kspace-axioms", label + "-herm", np.conj(b), a, _rel(np.conj(b), a),
-                              quad.nodes_per_dim, 0.0, _rel(np.conj(b), a) < 1e-12))
+        rel = _rel(np.conj(b), a)
+        out.add(label + "-herm", np.conj(b), a, rel, rel < 1e-12)
         nsq = kspace.k_inner(s0, s0, quad)
-        rows.append(ReportRow("kspace-axioms", label + "-pos", nsq, 0.0, abs(nsq.imag),
-                              quad.nodes_per_dim, 0.0, nsq.real >= 0 and abs(nsq.imag) < 1e-15))
+        out.add(label + "-pos", nsq, 0.0, abs(nsq.imag), nsq.real >= 0 and abs(nsq.imag) < 1e-15)
         # summation-order independence over support points
         fiber = s0.fiber_space()
-        fwd = sum(
-            fibers.fiber_inner(f, f, fiber, quad) for _, f in s0.entries
-        )
-        bwd = sum(
-            fibers.fiber_inner(f, f, fiber, quad) for _, f in reversed(s0.entries)
-        )
-        rows.append(ReportRow("kspace-axioms", label + "-order", fwd, bwd, _rel(fwd, bwd),
-                              quad.nodes_per_dim, 0.0, _rel(fwd, bwd) < 1e-12))
+        fwd = sum(fibers.fiber_inner(f, f, fiber, quad) for _, f in s0.entries)
+        bwd = sum(fibers.fiber_inner(f, f, fiber, quad) for _, f in reversed(s0.entries))
+        rel = _rel(fwd, bwd)
+        out.add(label + "-order", fwd, bwd, rel, rel < 1e-12)
         # Pythagoras for disjoint supports
         far = kspace.SparseSection(
             n_blocks, measure,
@@ -593,8 +510,8 @@ def _suite_kspace_axioms(config: SuiteConfig) -> list[ReportRow]:
         )
         total = kspace.k_inner(s0 + far, s0 + far, quad).real
         parts = kspace.k_inner(s0, s0, quad).real + kspace.k_inner(far, far, quad).real
-        rows.append(ReportRow("kspace-axioms", label + "-pyth", total, parts, _rel(total, parts),
-                              quad.nodes_per_dim, 0.0, _rel(total, parts) < 1e-12))
+        rel = _rel(total, parts)
+        out.add(label + "-pyth", total, parts, rel, rel < 1e-12)
         # unitary point transport for every catalog map
         for theta in config.diffeo_catalog:
             p1 = kspace.k_pullback(theta, s0)
@@ -602,8 +519,7 @@ def _suite_kspace_axioms(config: SuiteConfig) -> list[ReportRow]:
             lhs_u = kspace.k_inner(p1, p2, quad)
             rhs_u = kspace.k_inner(s0, s1, quad)
             rel = abs(lhs_u - rhs_u) / max(abs(rhs_u), 1e-300)
-            rows.append(ReportRow("kspace-axioms", f"{label}-pull-{theta.tag}{theta.params}",
-                                  lhs_u, rhs_u, rel, quad.nodes_per_dim, 0.0, rel < 1e-6))
+            out.add(f"{label}-pull-{theta.tag}{theta.params}", lhs_u, rhs_u, rel, rel < 1e-6)
     # orthonormal family rows (one shared case)
     rng = _rng(config, "kax-family")
     measure = gamma.InvariantMeasure(spec, 1.0)
@@ -618,17 +534,12 @@ def _suite_kspace_axioms(config: SuiteConfig) -> list[ReportRow]:
             val = kspace.k_inner(fam[a_idx], fam[b_idx], quad)
             want = 1.0 if a_idx == b_idx else 0.0
             worst = max(worst, abs(val - want))
-    rows.append(ReportRow("kspace-axioms", "family-orthonormal", worst, 0.0, worst,
-                          quad.nodes_per_dim, 0.0, worst < 1e-9))
-    other = kspace.basis_element(y2, 0, measure, quad)
-    cross = kspace.k_inner(fam[0], other, quad)
-    rows.append(ReportRow("kspace-axioms", "family-distinct-points", cross, 0.0, abs(cross),
-                          quad.nodes_per_dim, 0.0, cross == 0.0))
-    return rows
+    out.add("family-orthonormal", worst, 0.0, worst, worst < 1e-9)
+    cross = kspace.k_inner(fam[0], kspace.basis_element(y2, 0, measure, quad), quad)
+    out.add("family-distinct-points", cross, 0.0, abs(cross), cross == 0.0)
 
 
-def _suite_kspace_density(config: SuiteConfig) -> list[ReportRow]:
-    rows = []
+def _suite_kspace_density(config: SuiteConfig, out: _Rows) -> None:
     quad = config.quad()
     spec = gamma.SignatureSpec(*config.signature)
     measure = gamma.InvariantMeasure(spec, 1.0)
@@ -650,165 +561,128 @@ def _suite_kspace_density(config: SuiteConfig) -> list[ReportRow]:
             entries.append((points[n - 1], unit.scaled(2.0 ** (-n / 2.0)) + bump_far.scaled(eps)))
         approx = kspace.SparseSection(1, measure, tuple(entries))
         err = kspace.k_norm(approx - target, quad)
-        rows.append(ReportRow("kspace-density", f"approx-m{m}", err, 1.0 / m, err * m,
-                              quad.nodes_per_dim, 0.0, err < 1.0 / m))
-    return rows
+        out.add(f"approx-m{m}", err, 1.0 / m, err * m, err < 1.0 / m)
 
 
-def _suite_graded_orthogonality(config: SuiteConfig) -> list[ReportRow]:
-    rows = []
+def _suite_graded_orthogonality(config: SuiteConfig, out: _Rows) -> None:
     quad = config.quad()
     spec = gamma.SignatureSpec(*config.signature)
-    for i in range(config.trials):
-        label = f"grade-{i:03d}"
-        rng = _rng(config, label)
+    for i, label, rng in out.cases("grade"):
         measure = gamma.InvariantMeasure(spec, 1.0)
         s1 = random_state(rng, 1, measure, n_terms=1)
         s2 = random_state(rng, 2, measure, n_terms=1)
         g1 = hspace.GradedState.of(s1)
-        g2 = hspace.GradedState.of(s2)
-        cross = hspace.graded_inner(g1, g2, quad)
-        rows.append(ReportRow("graded-orthogonality", label + "-hcross", cross, 0.0, abs(cross),
-                              quad.nodes_per_dim, 0.0, cross == 0.0))
+        cross = hspace.graded_inner(g1, hspace.GradedState.of(s2), quad)
+        out.add(label + "-hcross", cross, 0.0, abs(cross), cross == 0.0)
         both = hspace.GradedState.of(s1, s2)
         tot = hspace.graded_inner(both, both, quad).real
         parts = hspace.inner(s1, s1, quad).real + hspace.inner(s2, s2, quad).real
-        rows.append(ReportRow("graded-orthogonality", label + "-hpyth", tot, parts,
-                              _rel(tot, parts), quad.nodes_per_dim, 0.0, _rel(tot, parts) < 1e-12))
+        rel = _rel(tot, parts)
+        out.add(label + "-hpyth", tot, parts, rel, rel < 1e-12)
         single = hspace.graded_inner(both, g1, quad)
         direct = hspace.inner(s1, s1, quad)
-        rows.append(ReportRow("graded-orthogonality", label + "-hsingle", single, direct,
-                              _rel(single, direct), quad.nodes_per_dim, 0.0, single == direct))
+        out.add(label + "-hsingle", single, direct, _rel(single, direct), single == direct)
         k1 = random_section(rng, 1, measure, [random_point_set(rng, 1)])
         k2 = random_section(rng, 2, measure, [random_point_set(rng, 2)])
         kcross = kspace.graded_k_inner({1: k1}, {2: k2}, quad)
-        rows.append(ReportRow("graded-orthogonality", label + "-kcross", kcross, 0.0, abs(kcross),
-                              quad.nodes_per_dim, 0.0, kcross == 0.0))
+        out.add(label + "-kcross", kcross, 0.0, abs(kcross), kcross == 0.0)
         ktot = kspace.graded_k_inner({1: k1, 2: k2}, {1: k1, 2: k2}, quad).real
         kparts = kspace.k_inner(k1, k1, quad).real + kspace.k_inner(k2, k2, quad).real
-        rows.append(ReportRow("graded-orthogonality", label + "-kpyth", ktot, kparts,
-                              _rel(ktot, kparts), quad.nodes_per_dim, 0.0, _rel(ktot, kparts) < 1e-12))
-    return rows
+        rel = _rel(ktot, kparts)
+        out.add(label + "-kpyth", ktot, kparts, rel, rel < 1e-12)
 
 
-def _suite_chart_atlas(config: SuiteConfig) -> list[ReportRow]:
-    rows = []
-    trials = config.trials
+def _suite_chart_atlas(config: SuiteConfig, out: _Rows) -> None:
     catalog = [t for t in config.diffeo_catalog if t.tag != "identity"] or list(config.diffeo_catalog)
-    n_each = max(1, trials // 5)
+    n_each = max(1, config.trials // 5)
 
-    rng = _rng(config, "atlas-project")
-    worst_exact = True
-    for _ in range(n_each):
-        n = int(rng.integers(2, 6))
-        y = random_point_set(rng, n)
+    def draws(check: str, lo: int, hi: int):
+        # each check's substream draws a size n, then a point set, then the case's own values
+        rng = _rng(config, f"atlas-{check}")
+        for i in range(n_each):
+            n = int(rng.integers(lo, hi))
+            yield i, rng, n, random_point_set(rng, n)
+
+    ok = True
+    for _, rng, n, y in draws("project", 2, 6):
         pts = list(y.canonical)
-        perm = rng.permutation(n)
-        shuffled = cfg.PointTuple(tuple(pts[j] for j in perm))
-        if cfg.project(shuffled) != y:
-            worst_exact = False
-        if cfg.sorted_chart(y) != tuple(p[0] for p in y.canonical):
-            worst_exact = False
-    rows.append(ReportRow("chart-atlas", f"projection[{n_each}]", 1.0, 1.0, 0.0,
-                          config.nodes_per_dim, 0.0, worst_exact))
+        shuffled = cfg.PointTuple(tuple(pts[j] for j in rng.permutation(n)))
+        ok &= cfg.project(shuffled) == y
+        ok &= cfg.sorted_chart(y) == tuple(p[0] for p in y.canonical)
+    out.add(f"projection[{n_each}]", 1.0, 1.0, 0.0, ok)
 
-    rng = _rng(config, "atlas-roundtrip")
     ok = True
-    for _ in range(n_each):
-        n = int(rng.integers(1, 5))
-        y = random_point_set(rng, n)
+    for _, _, _, y in draws("roundtrip", 1, 5):
         chart = cfg.local_chart(y, 0.1)
-        if chart.inverse_map(chart.chart_map(y)) != y:
-            ok = False
-    rows.append(ReportRow("chart-atlas", f"chart-roundtrip[{n_each}]", 1.0, 1.0, 0.0,
-                          config.nodes_per_dim, 0.0, ok))
+        ok &= chart.inverse_map(chart.chart_map(y)) == y
+    out.add(f"chart-roundtrip[{n_each}]", 1.0, 1.0, 0.0, ok)
 
-    rng = _rng(config, "atlas-transition")
     ok = True
-    for _ in range(n_each):
-        n = int(rng.integers(2, 5))
-        y = random_point_set(rng, n)
+    for _, rng, n, y in draws("transition", 2, 5):
         chart1 = cfg.local_chart(y, 0.1)
         perm = tuple(int(j) for j in rng.permutation(n))
-        chart2 = chart1.permuted(perm)
         coords = chart1.chart_map(y)
-        moved = cfg.chart_transition(chart1, chart2, coords)
-        expect = coords.reshape(n, -1)[list(perm)].ravel()
-        if not np.array_equal(moved, expect):
-            ok = False
-    rows.append(ReportRow("chart-atlas", f"transition-permutation[{n_each}]", 1.0, 1.0, 0.0,
-                          config.nodes_per_dim, 0.0, ok))
+        moved = cfg.chart_transition(chart1, chart1.permuted(perm), coords)
+        ok &= np.array_equal(moved, coords.reshape(n, -1)[list(perm)].ravel())
+    out.add(f"transition-permutation[{n_each}]", 1.0, 1.0, 0.0, ok)
 
-    rng = _rng(config, "atlas-homomorphism")
     ok = True
-    for i in range(n_each):
-        n = int(rng.integers(1, 5))
-        y = random_point_set(rng, n)
+    for i, _, _, y in draws("homomorphism", 1, 5):
         th1 = catalog[i % len(catalog)]
         th2 = catalog[(i + 1) % len(catalog)]
         seq = cfg.induced_diffeo(th1, cfg.induced_diffeo(th2, y))
-        joint = cfg.induced_diffeo(cfg.ComposedDiffeo(th1, th2), y)
-        if seq != joint:
-            ok = False
-    rows.append(ReportRow("chart-atlas", f"induced-homomorphism[{n_each}]", 1.0, 1.0, 0.0,
-                          config.nodes_per_dim, 0.0, ok))
+        ok &= seq == cfg.induced_diffeo(cfg.ComposedDiffeo(th1, th2), y)
+    out.add(f"induced-homomorphism[{n_each}]", 1.0, 1.0, 0.0, ok)
 
-    rng = _rng(config, "atlas-transport")
     worst = 0.0
-    for i in range(n_each):
-        n = int(rng.integers(1, 5))
-        y = random_point_set(rng, n)
+    for i, _, _, y in draws("transport", 1, 5):
         theta = catalog[i % len(catalog)]
         chart = cfg.local_chart(y, 0.1)
-        moved_chart = chart.transported(theta)
         moved_y = cfg.induced_diffeo(theta, y)
-        diff = np.abs(moved_chart.chart_map(moved_y) - chart.chart_map(y))
+        diff = np.abs(chart.transported(theta).chart_map(moved_y) - chart.chart_map(y))
         worst = max(worst, float(diff.max()))
-    rows.append(ReportRow("chart-atlas", f"transported-chart[{n_each}]", worst, 0.0, worst,
-                          config.nodes_per_dim, 0.0, worst < 1e-12))
+    out.add(f"transported-chart[{n_each}]", worst, 0.0, worst, worst < 1e-12)
 
-    rng = _rng(config, "atlas-blocks")
     worst = 0.0
-    for i in range(n_each):
-        n = int(rng.integers(1, 5))
-        y = random_point_set(rng, n)
+    for i, rng, n, y in draws("blocks", 1, 5):
         theta = catalog[i % len(catalog)]
         gammas = rng.uniform(0.5, 3.0, size=n)
         fd, pred, off = cfg.block_pullback_vs_per_point(theta, y, gammas)
         worst = max(worst, float(np.max(np.abs(fd - pred) / np.abs(pred))), off)
-    rows.append(ReportRow("chart-atlas", f"block-pullback[{n_each}]", worst, 0.0, worst,
-                          config.nodes_per_dim, 0.0, worst < 1e-10))
+    out.add(f"block-pullback[{n_each}]", worst, 0.0, worst, worst < 1e-10)
 
     rng = _rng(config, "atlas-injectivity")
     n = 3
     y = random_point_set(rng, n)
     chart = cfg.local_chart(y, 0.1)
     base = chart.chart_map(y)
-    n_pairs = max(trials, 1)
-    jitter = rng.uniform(-0.09, 0.09, size=(n_pairs, 2, n))
+    jitter = rng.uniform(-0.09, 0.09, size=(config.trials, 2, n))
     collisions = 0
     for a, b in jitter:
         ca, cb = base + a, base + b
         if not np.array_equal(ca, cb) and chart.inverse_map(ca) == chart.inverse_map(cb):
             collisions += 1
-    rows.append(ReportRow("chart-atlas", f"injectivity[{n_pairs}]", collisions, 0.0,
-                          float(collisions), config.nodes_per_dim, 0.0, collisions == 0))
-    return rows
+    out.add(f"injectivity[{config.trials}]", collisions, 0.0, float(collisions), collisions == 0)
 
 
-_SUITES: dict[str, Callable[[SuiteConfig], list[ReportRow]]] = {
-    "measure-invariance": _suite_measure_invariance,
-    "pushforward-product": _suite_pushforward_product,
-    "density-axioms": _suite_density_axioms,
-    "pairing-continuity": _suite_pairing_continuity,
-    "unitarity": _suite_unitarity,
-    "representation-law": _suite_representation_law,
-    "rescaling": _suite_rescaling,
-    "counterexample": _suite_counterexample,
-    "kspace-axioms": _suite_kspace_axioms,
-    "kspace-density": _suite_kspace_density,
-    "graded-orthogonality": _suite_graded_orthogonality,
-    "chart-atlas": _suite_chart_atlas,
+_SUITES: dict[str, tuple[Callable[[SuiteConfig, _Rows], None], int, int]] = {
+    # suite -> (function, default nodes_per_dim, default trials)
+    "measure-invariance": (_suite_measure_invariance, 32, 50),
+    "pushforward-product": (_suite_pushforward_product, 48, 20),
+    "density-axioms": (_suite_density_axioms, 48, 30),
+    "pairing-continuity": (_suite_pairing_continuity, 48, 10),
+    "unitarity": (_suite_unitarity, 48, 20),
+    "representation-law": (_suite_representation_law, 48, 10),
+    "rescaling": (_suite_rescaling, 16, 6),
+    "counterexample": (_suite_counterexample, 200, 1),
+    "kspace-axioms": (_suite_kspace_axioms, 48, 10),
+    "kspace-density": (_suite_kspace_density, 48, 1),
+    "graded-orthogonality": (_suite_graded_orthogonality, 32, 6),
+    "chart-atlas": (_suite_chart_atlas, 16, 10000),
+}
+SUITE_NAMES = tuple(_SUITES)
+_SUITE_DEFAULTS: dict[str, tuple[int, int]] = {
+    name: (nodes, trials) for name, (_, nodes, trials) in _SUITES.items()
 }
 
 
@@ -828,10 +702,11 @@ def run_suite(name: str, config: SuiteConfig | None = None) -> SuiteResult:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
     config = config or default_config(name)
     t0 = time.perf_counter()
-    rows = _SUITES[name](config)
+    out = _Rows(name, config)
+    _SUITES[name][0](config, out)
     elapsed = (time.perf_counter() - t0) * 1e3
-    rows.sort(key=lambda r: r.case_id)
-    return SuiteResult(name, rows, elapsed)
+    out.rows.sort(key=lambda r: r.case_id)
+    return SuiteResult(name, out.rows, elapsed)
 
 
 def write_report(path: Path, result: SuiteResult) -> None:

@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .fibers import BumpExpansion, BumpFunction, BumpTerm, bump_values
-from .gamma import InvariantMeasure, SignatureSpec
+from .gamma import SUPPORT_DET_FLOOR, InvariantMeasure, SignatureSpec
 from .quadrature import QuadConfig, gl_rule, hull_box, intersect_box, intersect_interval, tensor_rule
 
 _CHUNK_BUDGET = 2_000_000  # max x-points times gamma nodes held at once
@@ -166,10 +166,10 @@ class HalfDensityState:
             if np.any(lo[:-1] <= hi[1:]):
                 raise ValueError("x support must stay inside the sorted cone")
             glo, ghi = t.gamma_box()
-            if self.measure.spec.p == 1 and np.any(glo <= 0):
-                raise ValueError("gamma support must stay inside the positive cone")
-            if self.measure.spec.p == 0 and np.any(ghi >= 0):
-                raise ValueError("gamma support must stay inside the negative cone")
+            if self.measure.spec.p == 1 and np.any(glo < SUPPORT_DET_FLOOR):
+                raise ValueError("gamma support must stay 1e-8 inside the positive cone")
+            if self.measure.spec.p == 0 and np.any(ghi > -SUPPORT_DET_FLOOR):
+                raise ValueError("gamma support must stay 1e-8 inside the negative cone")
 
     # construction ------------------------------------------------------------
 

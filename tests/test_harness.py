@@ -24,8 +24,22 @@ def test_config_roundtrip_and_validation():
         SuiteConfig(trials=0)
     with pytest.raises(ValueError):
         SuiteConfig(nodes_per_dim=4)
-    with pytest.raises(ValueError):
-        SuiteConfig(n_max=7)
+    for n_max in (0, -1, 7):  # 0 divided by zero in unitarity, -1 ran rescaling at N=1
+        with pytest.raises(ValueError):
+            SuiteConfig(n_max=n_max)
+
+
+def test_row_timings_are_measured_and_add_up(tmp_path):
+    result = run_suite("rescaling", default_config("rescaling", trials=2))
+    times = [r.elapsed_ms for r in result.rows]
+    assert all(t > 0.0 for t in times)
+    assert sum(times) <= result.elapsed_ms
+    path = tmp_path / "resc.jsonl"
+    write_report(path, result)
+    timings = json.loads(path.with_name("resc.jsonl.timings").read_text())
+    assert timings["elapsed_ms"] == result.elapsed_ms
+    assert timings["rows"] == {r.case_id: r.elapsed_ms for r in result.rows}
+    assert all(t > 0.0 for t in timings["rows"].values())
 
 
 def test_measure_invariance_doubled_rule_floor():

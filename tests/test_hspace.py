@@ -35,6 +35,14 @@ def simple_state(coeff=1.0, xc=0.0, xw=0.6, gc=2.0, gw=0.7, measure=MEAS):
 def test_state_validation():
     with pytest.raises(ValueError):  # gamma support touching zero
         simple_state(gc=0.5, gw=0.6)
+    neg = InvariantMeasure(SignatureSpec(0, 1), 1.0)
+    # gamma hull [5e-13, 1]: inside the open cone but within the 1e-8 |det| floor
+    with pytest.raises(ValueError):
+        simple_state(gc=0.5 + 5e-13, gw=0.5)
+    with pytest.raises(ValueError):
+        simple_state(gc=-0.5 - 5e-13, gw=0.5, measure=neg)
+    simple_state(gc=0.5 + 2e-8, gw=0.5)  # hull starts 2e-8 from zero
+    simple_state(gc=-0.5 - 2e-8, gw=0.5, measure=neg)
     with pytest.raises(ValueError):  # x boxes must be strictly ordered for N=2
         HalfDensityState.separable(
             1.0, [BumpFunction(0.0, 0.6), BumpFunction(0.5, 0.6)],
