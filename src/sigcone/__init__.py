@@ -1,6 +1,6 @@
 """Invariant measures on signature cones and the Hilbert spaces built on them."""
 
-from .quadrature import BoxedFunction, QuadConfig
+from .quadrature import QuadConfig
 from .gamma import (
     GlElement,
     InvariantMeasure,

@@ -15,10 +15,11 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .gamma import (
+    InvarianceReport,
     InvariantMeasure,
     SignatureSpec,
     SymMatrix,
-    _gate_support,
+    check_support,
     invariant_dot,
 )
 from .quadrature import QuadConfig, gl_rule, hull_box, intersect_interval, tensor_rule
@@ -203,9 +204,7 @@ def _block_quad(
     if dim == 1:
         (lo, hi) = lohi[0]
         x, w = gl_rule(lo, hi, m)
-        pts = x[:, None]
-        absdets = _gate_support(pts, measure.spec)
-        vals = factors1[0](x) * factors2[0](x) * measure.scale_c * absdets ** -1.0
+        vals = factors1[0](x) * factors2[0](x) * measure.scale_c * np.abs(x) ** -1.0
         return float(np.dot(w, vals))
     lo = np.array([iv[0] for iv in lohi])
     hi = np.array([iv[1] for iv in lohi])
@@ -220,13 +219,15 @@ def fiber_inner(f1: BumpExpansion, f2: BumpExpansion, fiber: FiberSpace, quad: Q
     """Inner product <f1|f2> in the product fiber space.
 
     The weight factorizes over blocks, so each term pair is a product of
-    per-block tensor quadratures over the support intersections.
+    per-block tensor quadratures over the support intersections.  Every
+    block of every term is certified by check_support first.
     """
     if f1.dims != fiber.gamma_dims or f2.dims != fiber.gamma_dims:
         raise ValueError(
             f"expansions have dims {f1.dims}/{f2.dims}, fiber expects {fiber.gamma_dims}"
         )
-    dim = fiber.spec.dim
+    for t in f1.terms + f2.terms:
+        check_support(*t.box(), fiber.spec)
     total = 0.0 + 0.0j
     for t1 in f1.terms:
         for t2 in f2.terms:
@@ -357,14 +358,6 @@ class Weighted1D:
         raise ValueError(f"unknown measure tag {self.tag!r}")
 
 
-@dataclass(frozen=True)
-class PushforwardReport:
-    lhs: complex
-    rhs: complex
-    rel_err: float
-    nodes: int
-
-
 def pushforward_product_check(
     alpha: MonotoneMap,
     beta: MonotoneMap,
@@ -372,7 +365,7 @@ def pushforward_product_check(
     mu: Weighted1D,
     nu: Weighted1D,
     quad: QuadConfig,
-) -> PushforwardReport:
+) -> InvarianceReport:
     """Both sides of the product push-forward identity, by quadrature.
 
     lhs integrates h against the product of the two transported measures,
@@ -406,4 +399,4 @@ def pushforward_product_check(
         fv = t.factors[1](beta(v)) * nu.density(v)
         rhs += t.coeff * np.dot(wu, fu) * np.dot(wv, fv)
     rel = abs(lhs - rhs) / max(abs(lhs), 1e-300)
-    return PushforwardReport(lhs=complex(lhs), rhs=complex(rhs), rel_err=rel, nodes=m)
+    return InvarianceReport(lhs=complex(lhs), rhs=complex(rhs), rel_err=rel, nodes=m)

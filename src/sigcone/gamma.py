@@ -228,32 +228,53 @@ def natural_density(m: SymMatrix, measure: InvariantMeasure) -> float:
     return measure.scale_c / abs(d) ** ((m.n + 1) / 2)
 
 
-def _gate_support(pts_nz: np.ndarray, spec: SignatureSpec) -> np.ndarray:
-    """Check sampled nonzero-support points stay inside the cone; return |det|."""
-    n = spec.n
-    mats = vech_to_sym(pts_nz, n)
-    dets = det_stack(mats) if n > 1 else pts_nz[:, 0]
-    if np.abs(dets).min() < SUPPORT_DET_FLOOR:
-        raise SupportError("support reaches within 1e-8 of the degenerate boundary")
-    probe = SymMatrix(mats[int(np.argmin(np.abs(dets)))])
-    if signature(probe) != (spec.p, spec.p_prime, 0):
-        raise SupportError("support leaves the signature cone")
-    return np.abs(dets)
+def check_support(lo, hi, spec: SignatureSpec, floor: float = SUPPORT_DET_FLOOR) -> None:
+    """Certify in closed form that a whole box lies in the cone with |det| >= floor.
+
+    lo, hi hold one or more blocks of spec.dim vech coordinates; each is
+    certified.  n = 1 is an interval test; for n = 2, det = ac - b^2 has its
+    extremes at the (a, c) corners and the extremes of b^2, and det > 0 keeps
+    a off 0, so one corner fixes its sign.  n >= 3 raises ValueError.
+    """
+    if spec.n > 2:
+        raise ValueError(f"no support certificate for n = {spec.n}; only n <= 2 is integrated")
+    lo, hi = np.ravel(lo).tolist(), np.ravel(hi).tolist()
+    for k in range(0, len(lo), spec.dim):
+        if spec.n == 1:
+            ok = lo[k] >= floor if spec.p == 1 else hi[k] <= -floor
+        else:
+            (a0, b0, c0), (a1, b1, c1) = lo[k : k + 3], hi[k : k + 3]
+            ac = (a0 * c0, a0 * c1, a1 * c0, a1 * c1)
+            if spec.p == 1:
+                ok = max(ac) - (0.0 if b0 <= 0.0 <= b1 else min(b0 * b0, b1 * b1)) <= -floor
+            else:
+                ok = min(ac) - max(b0 * b0, b1 * b1) >= floor and (a0 > 0.0) == (spec.p == 2)
+        if not ok:
+            raise SupportError(f"box not certified in the ({spec.p}, {spec.p_prime}) cone at |det| >= {floor:.0e}")
 
 
 def invariant_dot(pts: np.ndarray, wts: np.ndarray, vals: np.ndarray, measure: InvariantMeasure):
     """Rule sum of vals against the invariant density, 0.0 if vals vanish.
 
-    The density is evaluated, and the support gated, only at the points
-    where vals is nonzero.
+    The density is evaluated only at the points where vals is nonzero; the
+    caller has certified the support with check_support.
     """
     mask = vals != 0
     if not mask.any():
         return 0.0
-    absdets = _gate_support(pts[mask], measure.spec)
+    absdets = np.abs(det_stack(vech_to_sym(pts[mask], measure.spec.n)))
     weight = np.zeros(len(pts))
     weight[mask] = measure.scale_c * absdets ** (-(measure.spec.n + 1) / 2)
     return np.dot(wts, vals * weight)
+
+
+def _rule_sum(f, measure: InvariantMeasure, quad: QuadConfig) -> complex:
+    """Tensor-rule sum of f's pieces against the invariant measure, uncertified."""
+    total = 0.0 + 0.0j
+    for lo, hi, func in f.integrand_pieces():
+        pts, wts = tensor_rule(lo, hi, quad.nodes_per_dim)
+        total += invariant_dot(pts, wts, np.asarray(func(pts)), measure)
+    return complex(total)
 
 
 def integrate_gamma(f, measure: InvariantMeasure, quad: QuadConfig) -> complex:
@@ -261,20 +282,16 @@ def integrate_gamma(f, measure: InvariantMeasure, quad: QuadConfig) -> complex:
 
     f must expose integrand_pieces() yielding (lo, hi, callable) triples in
     vech coordinates; each piece is integrated by a tensor Gauss-Legendre
-    rule over its own box.  Points where the integrand vanishes exactly do
-    not touch the weight, so bounding boxes of transformed supports are fine
-    as long as the true support stays inside the cone.
+    rule over its own box.  The box is the support contract: check_support
+    must certify the whole box inside the cone with |det| >= 1e-8, once per
+    piece and before any node is evaluated, or SupportError is raised.
+    Points where the integrand vanishes exactly do not touch the weight.
     """
-    dim = measure.spec.dim
-    total = 0.0 + 0.0j
-    for lo, hi, func in f.integrand_pieces():
-        lo = np.asarray(lo, float)
-        hi = np.asarray(hi, float)
-        if lo.size != dim:
-            raise ValueError(f"support box has {lo.size} coordinates, expected {dim}")
-        pts, wts = tensor_rule(lo, hi, quad.nodes_per_dim)
-        total += invariant_dot(pts, wts, np.asarray(func(pts)), measure)
-    return complex(total)
+    for lo, hi, _ in f.integrand_pieces():
+        if np.size(lo) != measure.spec.dim:
+            raise ValueError(f"support box has {np.size(lo)} coordinates, expected {measure.spec.dim}")
+        check_support(lo, hi, measure.spec)
+    return _rule_sum(f, measure, quad)
 
 
 @dataclass(frozen=True)
@@ -305,11 +322,16 @@ def verify_invariance(f, g: GlElement, measure: InvariantMeasure, quad: QuadConf
 
     The pulled-back integrand is evaluated on the axis-aligned bounding box
     of the transformed support, with nodes entirely unrelated to the ones
-    used on the left-hand side.
+    used on the left-hand side.  That support, g^T supp(f) g, has |det| scaled
+    by det(g)^2, so f certified at floor * max(1, det(g)^-2) covers both sides;
+    the bounding box may cross det = 0 and gets no certificate of its own.
     """
+    floor = SUPPORT_DET_FLOOR * max(1.0, float(det_stack(g.matrix)) ** -2)
+    for lo, hi, _ in f.integrand_pieces():
+        check_support(lo, hi, measure.spec, floor)
     lhs = integrate_gamma(f, measure, quad)
     vech_map = congruence_vech_matrix(g.inverse, measure.spec.n)
-    rhs = integrate_gamma(_PulledBackIntegrand(f, vech_map), measure, quad)
+    rhs = _rule_sum(_PulledBackIntegrand(f, vech_map), measure, quad)
     rel = abs(lhs - rhs) / max(abs(lhs), 1e-300)
     return InvarianceReport(lhs=lhs, rhs=rhs, rel_err=rel, nodes=quad.nodes_per_dim)
 

@@ -55,6 +55,8 @@ class SuiteConfig:
             raise ValueError("suites need at least 8 nodes per dimension")
         if not 1 <= self.n_max <= 4:
             raise ValueError("n_max must lie in 1..4")
+        if gamma.SignatureSpec(*self.signature).n != 1:
+            raise ValueError("signature must be (1, 0) or (0, 1): suites build over one base dimension")
 
     def quad(self) -> QuadConfig:
         return QuadConfig(nodes_per_dim=self.nodes_per_dim)

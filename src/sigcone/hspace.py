@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .fibers import BumpExpansion, BumpFunction, BumpTerm, bump_values
-from .gamma import SUPPORT_DET_FLOOR, InvariantMeasure, SignatureSpec
+from .gamma import InvariantMeasure, SignatureSpec, check_support
 from .quadrature import QuadConfig, gl_rule, hull_box, intersect_box, intersect_interval, tensor_rule
 
 _CHUNK_BUDGET = 2_000_000  # max x-points times gamma nodes held at once
@@ -123,6 +123,8 @@ class PulledStateTerm:
         his = np.empty_like(ghi)
         for k in range(len(glo)):
             dmin, dmax = self.theta.deriv_range(float(xlo[k]), float(xhi[k]))
+            if not dmin > 0.0:
+                raise ValueError("map is not a diffeomorphism on the pulled-back support")
             cands = [glo[k] * dmin**2, glo[k] * dmax**2, ghi[k] * dmin**2, ghi[k] * dmax**2]
             los[k], his[k] = min(cands), max(cands)
         return los, his
@@ -165,11 +167,7 @@ class HalfDensityState:
             lo, hi = t.x_box()
             if np.any(lo[:-1] <= hi[1:]):
                 raise ValueError("x support must stay inside the sorted cone")
-            glo, ghi = t.gamma_box()
-            if self.measure.spec.p == 1 and np.any(glo < SUPPORT_DET_FLOOR):
-                raise ValueError("gamma support must stay 1e-8 inside the positive cone")
-            if self.measure.spec.p == 0 and np.any(ghi > -SUPPORT_DET_FLOOR):
-                raise ValueError("gamma support must stay 1e-8 inside the negative cone")
+            check_support(*t.gamma_box(), self.measure.spec)
 
     # construction ------------------------------------------------------------
 
@@ -413,17 +411,9 @@ def norm(s: HalfDensityState, quad: QuadConfig) -> float:
 
 
 def pullback(theta, s: HalfDensityState) -> HalfDensityState:
-    """Pull a state back through an increasing diffeomorphism of the line."""
-    new_terms = []
-    for t in s.terms:
-        pulled = PulledStateTerm(t, theta)
-        xlo, xhi = pulled.x_box()
-        for k in range(s.n_blocks):
-            dmin, _ = theta.deriv_range(float(xlo[k]), float(xhi[k]))
-            if not dmin > 0.0:
-                raise ValueError("map is not a diffeomorphism on the pulled-back support")
-        new_terms.append(pulled)
-    return HalfDensityState(s.n_blocks, s.measure, tuple(new_terms))
+    """Pull a state back through an increasing diffeomorphism of the line
+    (PulledStateTerm.gamma_box checks that it increases on the support)."""
+    return HalfDensityState(s.n_blocks, s.measure, tuple(PulledStateTerm(t, theta) for t in s.terms))
 
 
 def rescale_iso(s: HalfDensityState, c_old: float, c_new: float) -> HalfDensityState:

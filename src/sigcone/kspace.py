@@ -25,7 +25,7 @@ from .fibers import (
     fiber_inner,
     product_bump,
 )
-from .gamma import InvariantMeasure
+from .gamma import InvariantMeasure, check_support
 from .quadrature import QuadConfig
 
 
@@ -49,6 +49,8 @@ class SparseSection:
             seen.add(y)
             if fib.dims != self.n_blocks:
                 raise ValueError("fiber value has the wrong number of coordinates")
+            for t in fib.terms:
+                check_support(*t.box(), self.measure.spec)
         object.__setattr__(self, "entries", tuple(sorted(self.entries, key=lambda e: e[0].canonical)))
 
     @property

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -102,18 +102,3 @@ def box_corners(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         for j in range(d):
             out[k, j] = hi[j] if (k >> j) & 1 else lo[j]
     return out
-
-
-@dataclass(frozen=True)
-class BoxedFunction:
-    """A callable on R^d together with a declared compact support box."""
-
-    func: Callable[[np.ndarray], np.ndarray]
-    lo: tuple[float, ...]
-    hi: tuple[float, ...]
-
-    def __call__(self, pts: np.ndarray) -> np.ndarray:
-        return self.func(pts)
-
-    def integrand_pieces(self) -> Iterator[tuple[np.ndarray, np.ndarray, Callable]]:
-        yield np.asarray(self.lo, float), np.asarray(self.hi, float), self.func

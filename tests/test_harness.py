@@ -27,6 +27,21 @@ def test_config_roundtrip_and_validation():
     for n_max in (0, -1, 7):  # 0 divided by zero in unitarity, -1 ran rescaling at N=1
         with pytest.raises(ValueError):
             SuiteConfig(n_max=n_max)
+    # suites build over one base dimension; (2, 0) stopped `verify all` in pairing-continuity
+    for sig in ((2, 0), (1, 1), (0, 0)):
+        with pytest.raises(ValueError):
+            SuiteConfig(signature=sig)
+        with pytest.raises(ValueError):
+            SuiteConfig.loads(json.dumps({"signature": list(sig), "trials": 1}))
+
+
+@pytest.mark.parametrize("suite", [
+    "pairing-continuity", "unitarity", "representation-law", "rescaling",
+    "kspace-axioms", "kspace-density", "graded-orthogonality",
+])
+def test_signature_suites_pass_on_the_negative_cone(suite):
+    result = run_suite(suite, default_config(suite, signature=(0, 1), trials=2))
+    assert result.rows and all(r.verdict for r in result.rows)
 
 
 def test_row_timings_are_measured_and_add_up(tmp_path):

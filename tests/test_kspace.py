@@ -5,7 +5,7 @@ import pytest
 
 from sigcone.configuration import affine, identity, point_set, sine, soft
 from sigcone.fibers import FiberSpace, fiber_inner, normalized, product_bump
-from sigcone.gamma import InvariantMeasure, SignatureSpec
+from sigcone.gamma import InvariantMeasure, SignatureSpec, SupportError
 from sigcone.harness import random_point_set, random_section
 from sigcone.kspace import (
     SparseSection,
@@ -36,6 +36,12 @@ def test_section_validation():
     y = point_set(0.0)
     with pytest.raises(ValueError):
         SparseSection(1, MEAS, ((y, product_bump(1.0, [2.0], [0.5])),) * 2)
+    # a fiber box that reaches below 0 is refused when built, not when first paired
+    good = (point_set(1.0, 0.0), product_bump(1.0, [2.0, 2.0], [0.5, 0.5]))
+    crossing = (point_set(3.0, 2.0), product_bump(1.0, [2.0, 0.5], [0.5, 0.6]))
+    SparseSection(2, MEAS, (good,))
+    with pytest.raises(SupportError):
+        SparseSection(2, MEAS, (good, crossing))
 
 
 def test_k_inner_disjoint_and_shared():

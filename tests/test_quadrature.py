@@ -3,7 +3,6 @@ import pytest
 from scipy.integrate import quad as sciquad
 
 from sigcone.quadrature import (
-    BoxedFunction,
     QuadConfig,
     box_corners,
     gl_rule,
@@ -69,12 +68,3 @@ def test_box_helpers():
     assert lo[0] == -1.0 and hi[0] == 1.0
     corners = box_corners(np.array([0.0, 0.0]), np.array([1.0, 2.0]))
     assert sorted(map(tuple, corners.tolist())) == [(0, 0), (0, 2), (1, 0), (1, 2)]
-
-
-def test_boxed_function_pieces():
-    f = BoxedFunction(lambda p: p[:, 0], (0.0,), (1.0,))
-    pieces = list(f.integrand_pieces())
-    assert len(pieces) == 1
-    lo, hi, fn = pieces[0]
-    assert lo[0] == 0.0 and hi[0] == 1.0
-    assert fn(np.array([[0.25]]))[0] == 0.25
