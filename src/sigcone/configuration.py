@@ -28,18 +28,20 @@ class ChartDomainError(ValueError):
     """A point set does not place exactly one point in every chart box."""
 
 
-def _as_points(points, d: int | None = None) -> tuple[Point, ...]:
-    pts = []
-    for p in points:
-        if np.ndim(p) == 0:
-            pts.append((float(p),))
-        else:
-            pts.append(tuple(float(x) for x in p))
-    if d is not None and any(len(p) != d for p in pts):
-        raise ValueError("inconsistent point dimension")
+def _points(points) -> tuple[Point, ...]:
+    """The one point validator: float tuples of one dimension, finite, separated."""
+    pts = tuple(tuple(float(x) for x in p) for p in points)
+    if not pts:
+        raise ValueError("need at least one point")
+    if not pts[0]:
+        raise ValueError("points need at least one coordinate")
     if len({len(p) for p in pts}) > 1:
         raise ValueError("points of mixed dimension")
-    return tuple(pts)
+    if not all(math.isfinite(x) for p in pts for x in p):
+        raise ValueError("point coordinates must be finite")
+    if len(pts) > 1 and _min_separation(pts) <= MIN_POINT_SEPARATION:
+        raise DuplicatePointError("points closer than 1e-12 in max norm")
+    return pts
 
 
 def _min_separation(pts: Sequence[Point]) -> float:
@@ -58,11 +60,7 @@ class PointTuple:
     points: tuple[Point, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "points", _as_points(self.points))
-        if len(self.points) == 0:
-            raise ValueError("need at least one point")
-        if len(self.points) > 1 and _min_separation(self.points) <= MIN_POINT_SEPARATION:
-            raise DuplicatePointError("points closer than 1e-12 in max norm")
+        object.__setattr__(self, "points", _points(self.points))
 
     @property
     def n(self) -> int:
@@ -75,7 +73,7 @@ class PointTuple:
 
 @dataclass(frozen=True)
 class PointSet:
-    """An unordered point subset, stored in canonical decreasing order.
+    """An unordered point subset; construction sorts it into canonical order.
 
     For d = 1 the canonical order is strictly decreasing; for d > 1 it is
     lexicographically decreasing (a chart-independent bookkeeping choice).
@@ -84,10 +82,7 @@ class PointSet:
     canonical: tuple[Point, ...]
 
     def __post_init__(self) -> None:
-        pts = _as_points(self.canonical)
-        if tuple(sorted(pts, reverse=True)) != pts:
-            raise ValueError("points are not in canonical decreasing order")
-        object.__setattr__(self, "canonical", pts)
+        object.__setattr__(self, "canonical", tuple(sorted(_points(self.canonical), reverse=True)))
 
     @property
     def n(self) -> int:
@@ -104,18 +99,15 @@ class PointSet:
             raise ValueError("flat coordinates are defined for d = 1")
         return tuple(p[0] for p in self.canonical)
 
-    def serialize(self) -> list[float]:
-        return [x for p in self.canonical for x in p]
-
 
 def project(t: PointTuple) -> PointSet:
     """Forget the ordering; permuting the input does not change the output."""
-    return PointSet(tuple(sorted(t.points, reverse=True)))
+    return PointSet(t.points)
 
 
 def point_set(*coords) -> PointSet:
     """Convenience constructor from unordered scalar coordinates (d = 1)."""
-    return project(PointTuple(tuple((float(c),) for c in coords)))
+    return PointSet(tuple((c,) for c in coords))
 
 
 def sorted_chart(y: PointSet) -> tuple[float, ...]:
@@ -314,8 +306,7 @@ def induced_diffeo(theta: Callable, y: PointSet) -> PointSet:
     """Apply a 1-D diffeomorphism point by point and re-canonicalize."""
     if y.d != 1:
         raise ValueError("induced maps are implemented over the line")
-    moved = [float(theta(np.asarray(p[0]))) for p in y.canonical]
-    return project(PointTuple(tuple((m,) for m in moved)))
+    return PointSet(tuple((float(theta(np.asarray(p[0]))),) for p in y.canonical))
 
 
 # -- local charts ---------------------------------------------------------------
@@ -361,9 +352,8 @@ class Chart:
         if y.n != self.n or y.d != self.d:
             raise ChartDomainError("subset has the wrong size for this chart")
         chosen: list[Point] = []
-        for k in range(self.n):
-            lo, hi = np.asarray(self.lo[k]), np.asarray(self.hi[k])
-            inside = [p for p in y.canonical if np.all(lo < np.asarray(p)) and np.all(np.asarray(p) < hi)]
+        for k, (lo, hi) in enumerate(zip(self.lo, self.hi)):
+            inside = [p for p in y.canonical if all(a < x < b for a, x, b in zip(lo, p, hi))]
             if len(inside) != 1:
                 raise ChartDomainError(f"box {k} holds {len(inside)} points instead of 1")
             chosen.append(inside[0])
@@ -379,15 +369,14 @@ class Chart:
         return np.asarray(coords, float)
 
     def inverse_map(self, coords: np.ndarray) -> PointSet:
-        coords = np.asarray(coords, float).reshape(self.n, self.d)
+        rows = np.asarray(coords, float).reshape(self.n, self.d).tolist()
         pts = []
-        for k in range(self.n):
-            mp = self.maps[k]
-            p = coords[k] if mp is None else np.asarray([float(mp.inverse(x)) for x in coords[k]])
-            if np.any(p <= np.asarray(self.lo[k])) or np.any(p >= np.asarray(self.hi[k])):
+        for row, mp, lo, hi in zip(rows, self.maps, self.lo, self.hi):
+            p = tuple(row) if mp is None else tuple(float(mp.inverse(x)) for x in row)
+            if not all(a < x < b for a, x, b in zip(lo, p, hi)):
                 raise ChartDomainError("coordinates fall outside the chart image")
-            pts.append(tuple(p))
-        return project(PointTuple(tuple(pts)))
+            pts.append(p)
+        return PointSet(tuple(pts))
 
     def permuted(self, order: Sequence[int]) -> "Chart":
         order = tuple(order)
@@ -481,7 +470,7 @@ def block_pullback_vs_per_point(theta, y: PointSet, gammas: Sequence[float], h: 
     x_pre = np.asarray(y_pre.values)
 
     def expr(coords: np.ndarray) -> np.ndarray:
-        ys = project(PointTuple(tuple((float(c),) for c in coords)))
+        ys = PointSet(tuple((c,) for c in coords))
         return np.asarray(induced_diffeo(theta, ys).values)
 
     jac = jacobian_fd(expr, x_pre, h)

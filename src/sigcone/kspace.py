@@ -98,11 +98,15 @@ class SparseSection:
 
         d = json.loads(text)
         measure = InvariantMeasure(SignatureSpec(*d["signature"]), float(d["scale_c"]))
-        entries = tuple(
-            (PointSet(tuple((float(v),) for v in e["point"])), BumpExpansion.from_dict(e["fiber"]))
-            for e in d["entries"]
-        )
-        return cls(int(d["n_blocks"]), measure, entries)
+        entries = []
+        for e in d["entries"]:
+            point = tuple(float(v) for v in e["point"])
+            y = PointSet(tuple((v,) for v in point))
+            # fiber block k belongs to the k-th largest point, so the order is not free
+            if y.values != point:
+                raise ValueError("a section's point must list its floats in decreasing order")
+            entries.append((y, BumpExpansion.from_dict(e["fiber"])))
+        return cls(int(d["n_blocks"]), measure, tuple(entries))
 
 
 def _check_compatible(s1: SparseSection, s2: SparseSection) -> None:

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from sigcone.configuration import (
     ComposedDiffeo,
     Diffeo1D,
     DuplicatePointError,
+    PointSet,
     PointTuple,
     affine,
     block_pullback_vs_per_point,
@@ -39,9 +41,14 @@ def test_project_examples():
 
 
 def test_project_collapses_all_permutations(rng):
-    pts = tuple((float(x),) for x in rng.uniform(-5, 5, size=4))
-    results = {project(PointTuple(tuple(pts[i] for i in perm))) for perm in itertools.permutations(range(4))}
-    assert len(results) == 1
+    for d in (1, 2):
+        pts = tuple(tuple(float(x) for x in p) for p in rng.uniform(-5, 5, size=(4, d)))
+        results = set()
+        for perm in itertools.permutations(range(4)):
+            t = PointTuple(tuple(pts[i] for i in perm))
+            assert PointSet(t.points) == project(t)
+            results.add(project(t))
+        assert len(results) == 1
 
 
 def test_sorted_chart_examples():
@@ -60,7 +67,33 @@ def test_lexicographic_order_for_d2():
     t = PointTuple(((0.0, 1.0), (0.0, 2.0), (1.0, 0.0)))
     y = project(t)
     assert y.canonical == ((1.0, 0.0), (0.0, 2.0), (0.0, 1.0))
-    assert y.serialize() == [1.0, 0.0, 0.0, 2.0, 0.0, 1.0]
+
+
+@pytest.mark.parametrize(
+    "points, error",
+    [
+        (((1.0,), (1.0,)), DuplicatePointError),
+        ((), ValueError),
+        (((math.nan,),), ValueError),
+        (((math.inf,), (0.0,)), ValueError),
+        (((),), ValueError),
+        (((), ()), ValueError),
+    ],
+)
+def test_pointset_refuses_bad_points(points, error):
+    with pytest.raises(error):
+        PointSet(points)
+
+
+def test_pointtuple_refuses_nan():
+    with pytest.raises(ValueError):
+        PointTuple(((math.nan,), (math.nan,)))
+
+
+def test_inverse_map_refuses_nan_coordinates():
+    chart = local_chart(point_set(1.0, 4.0), 1.0)
+    with pytest.raises(ValueError):
+        chart.inverse_map([math.nan, 1.0])
 
 
 def test_local_chart_example():

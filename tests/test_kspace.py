@@ -1,9 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
-from sigcone.configuration import affine, identity, point_set, sine, soft
+from sigcone.configuration import DuplicatePointError, affine, identity, point_set, sine, soft
 from sigcone.fibers import FiberSpace, fiber_inner, normalized, product_bump
 from sigcone.gamma import InvariantMeasure, SignatureSpec, SupportError
 from sigcone.harness import random_point_set, random_section
@@ -42,6 +43,22 @@ def test_section_validation():
     SparseSection(2, MEAS, (good,))
     with pytest.raises(SupportError):
         SparseSection(2, MEAS, (good, crossing))
+
+
+@pytest.mark.parametrize(
+    "point, error, match",
+    [
+        ([1.0, 1.0], DuplicatePointError, "closer"),
+        # fiber block k belongs to the k-th largest point, so loads must not reorder
+        ([0.0, 1.0], ValueError, "decreasing"),
+    ],
+)
+def test_loads_refuses_bad_support_point(point, error, match):
+    s = SparseSection(2, MEAS, ((point_set(1.0, 0.0), product_bump(1.0, [2.0, 2.0], [0.5, 0.5])),))
+    d = json.loads(s.dumps())
+    d["entries"][0]["point"] = point
+    with pytest.raises(error, match=match):
+        SparseSection.loads(json.dumps(d))
 
 
 def test_k_inner_disjoint_and_shared():
