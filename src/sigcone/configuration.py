@@ -329,6 +329,8 @@ class Chart:
         hi = np.asarray(self.hi, float)
         if lo.shape != hi.shape or lo.ndim != 2:
             raise ValueError("boxes need matching (N, d) corner arrays")
+        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+            raise ValueError("box corners must be finite")
         if np.any(lo >= hi):
             raise ValueError("degenerate box")
         for i in range(len(lo)):

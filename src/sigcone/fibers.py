@@ -22,7 +22,7 @@ from .gamma import (
     check_support,
     invariant_dot,
 )
-from .quadrature import QuadConfig, gl_rule, hull_box, intersect_interval, tensor_rule
+from .quadrature import QuadConfig, gl_rule, grid_product, hull_box, intersect_interval, tensor_rule
 
 
 @dataclass(frozen=True)
@@ -209,9 +209,9 @@ def _block_quad(
     lo = np.array([iv[0] for iv in lohi])
     hi = np.array([iv[1] for iv in lohi])
     pts, wts = tensor_rule(lo, hi, m)
-    vals = np.ones(len(pts))
-    for k in range(dim):
-        vals *= factors1[k](pts[:, k]) * factors2[k](pts[:, k])
+    # each bump factor depends on one axis: evaluate it on that axis' nodes
+    nodes = [gl_rule(l, h, m)[0] for l, h in zip(lo, hi)]
+    vals = np.ravel(grid_product([f1(x) * f2(x) for f1, f2, x in zip(factors1, factors2, nodes)]))
     return float(invariant_dot(pts, wts, vals, measure))
 
 

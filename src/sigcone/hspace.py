@@ -23,29 +23,20 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import partial, reduce
 from typing import Sequence
 
 import numpy as np
 
 from .fibers import BumpExpansion, BumpFunction, BumpTerm, bump_values
 from .gamma import InvariantMeasure, SignatureSpec, check_support
-from .quadrature import QuadConfig, gl_rule, hull_box, intersect_box, intersect_interval, tensor_rule
+from .quadrature import QuadConfig, gl_rule, grid_product, hull_box, intersect_box, intersect_interval, tensor_rule
 
-_CHUNK_BUDGET = 2_000_000  # max x-points times gamma nodes held at once
+_CHUNK_BUDGET = 2_000_000  # fixes the chunks, and so the summation order, of inner's x dot
 
-
-@dataclass(frozen=True)
-class GammaBatch:
-    """Per-term gamma-section data at a batch of x points.
-
-    coeff collects the complex coefficient and every x-dependent factor; the
-    gamma section at x-point i is coeff[i] * prod_k bump((g - centers[i,k]) /
-    widths[i,k]).
-    """
-
-    coeff: np.ndarray
-    centers: np.ndarray
-    widths: np.ndarray
+# joins for BumpStateTerm.axes: the product at shared points (grid_product
+# gives it over a tensor grid; np.stack keeps the blocks apart for joint_inner)
+_POINTWISE = partial(reduce, np.multiply)
 
 
 @dataclass(frozen=True)
@@ -76,23 +67,17 @@ class BumpStateTerm:
             np.array([f.hi for f in self.g_factors]),
         )
 
-    def batch(self, x: np.ndarray) -> GammaBatch:
-        x = np.atleast_2d(np.asarray(x, float))
-        coeff = np.full(len(x), self.coeff, dtype=complex)
-        for k, f in enumerate(self.x_factors):
-            coeff *= f(x[:, k])
-        centers = np.broadcast_to(np.array([f.center for f in self.g_factors]), x.shape).copy()
-        widths = np.broadcast_to(np.array([f.width for f in self.g_factors]), x.shape).copy()
-        return GammaBatch(coeff, centers, widths)
+    def axes(self, xs: Sequence[np.ndarray], join) -> tuple[np.ndarray, list, list]:
+        """The term at x values given per block: xs[k] holds values of x^k.
 
-    def dim_factor(self, k: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        x = np.asarray(x, float)
-        xv = self.x_factors[k](x).astype(complex)
-        if k == 0:
-            xv = xv * self.coeff
-        c = np.full_like(x, self.g_factors[k].center)
-        w = np.full_like(x, self.g_factors[k].width)
-        return xv, c, w
+        Returns join([coeff * a_0(xs[0]), a_1(xs[1]), ...]) and, per block k,
+        the centers and widths of the gamma bump, shaped like xs[k].
+        """
+        factors = [f(x) for f, x in zip(self.x_factors, xs)]
+        factors[0] = self.coeff * factors[0]
+        centers = [np.full_like(x, f.center) for f, x in zip(self.g_factors, xs)]
+        widths = [np.full_like(x, f.width) for f, x in zip(self.g_factors, xs)]
+        return join(factors), centers, widths
 
     def scaled(self, z: complex) -> "BumpStateTerm":
         return BumpStateTerm(z * self.coeff, self.x_factors, self.g_factors)
@@ -129,21 +114,15 @@ class PulledStateTerm:
             los[k], his[k] = min(cands), max(cands)
         return los, his
 
-    def batch(self, x: np.ndarray) -> GammaBatch:
-        x = np.atleast_2d(np.asarray(x, float))
-        tx = self.theta(x)
-        d = self.theta.deriv(x)
-        inner = self.base.batch(tx)
-        coeff = inner.coeff * np.prod(np.sqrt(d), axis=1)
-        s = d**2
-        return GammaBatch(coeff, inner.centers * s, inner.widths * s)
-
-    def dim_factor(self, k: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        x = np.asarray(x, float)
-        d = np.asarray(self.theta.deriv(x))
-        xv, c, w = self.base.dim_factor(k, np.asarray(self.theta(x)))
-        s = d**2
-        return xv * np.sqrt(d), c * s, w * s
+    def axes(self, xs: Sequence[np.ndarray], join) -> tuple[np.ndarray, list, list]:
+        d = [self.theta.deriv(x) for x in xs]
+        coeff, centers, widths = self.base.axes([self.theta(x) for x in xs], join)
+        s = [dk**2 for dk in d]
+        return (
+            coeff * join([np.sqrt(dk) for dk in d]),
+            [c * sk for c, sk in zip(centers, s)],
+            [w * sk for w, sk in zip(widths, s)],
+        )
 
     def scaled(self, z: complex) -> "PulledStateTerm":
         return PulledStateTerm(self.base.scaled(z), self.theta)
@@ -224,15 +203,13 @@ class HalfDensityState:
         return hull_box(t.gamma_box() for t in self.terms)
 
     def value(self, x: np.ndarray, gamma: np.ndarray) -> np.ndarray:
-        """Pointwise coordinate values psi(x, gamma)."""
-        x = np.atleast_2d(np.asarray(x, float))
-        gamma = np.atleast_2d(np.asarray(gamma, float))
-        out = np.zeros(len(x), dtype=complex)
+        """Pointwise coordinate values psi(x, gamma); x and gamma have shape (P, n_blocks)."""
+        xs, gs = _columns(self.n_blocks, x, gamma)
+        out = np.zeros(np.shape(x)[0], dtype=complex)
         for t in self.terms:
-            b = t.batch(x)
-            vals = b.coeff.copy()
-            for k in range(self.n_blocks):
-                vals *= bump_values(b.centers[:, k], b.widths[:, k], gamma[:, k])
+            vals, centers, widths = t.axes(xs, _POINTWISE)
+            for c, w, g in zip(centers, widths, gs):
+                vals = vals * bump_values(c, w, g)
             out += vals
         return out
 
@@ -263,6 +240,14 @@ def _check_compatible(s1: HalfDensityState, s2: HalfDensityState) -> None:
         raise ValueError("states use different measures")
 
 
+def _columns(n_blocks: int, *arrays) -> list[list[np.ndarray]]:
+    """The per-block columns of arrays of shape (P, n_blocks) with one common P."""
+    shapes = [np.shape(a) for a in arrays]
+    if any(len(sh) != 2 or sh != (shapes[0][0], n_blocks) for sh in shapes):
+        raise ValueError(f"need arrays of shape (P, {n_blocks}) with one common P, got {shapes}")
+    return [list(np.array(np.asarray(a, float).T)) for a in arrays]
+
+
 def lin_comb(z1: complex, s1: HalfDensityState, z2: complex, s2: HalfDensityState) -> HalfDensityState:
     _check_compatible(s1, s2)
     return s1.scaled(z1) + s2.scaled(z2)
@@ -271,31 +256,33 @@ def lin_comb(z1: complex, s1: HalfDensityState, z2: complex, s2: HalfDensityStat
 # -- pairing and inner product -------------------------------------------------
 
 
-def _pair_gamma_integrals(
-    b1: GammaBatch, b2: GammaBatch, measure: InvariantMeasure, m: int
-) -> np.ndarray:
-    """f-values of one term pair at the batch's x points.
+def _pair_gamma_integrals(t1, t2, xs: Sequence[np.ndarray], join, measure: InvariantMeasure, m: int) -> np.ndarray:
+    """f-values of one term pair at x values given per block (see BumpStateTerm.axes).
 
-    Each gamma block contributes a 1-D quadrature over the intersection of
-    the two sections' supports, against the invariant density.
+    Block k's gamma integral depends on x^k only, so it is taken once per
+    value in xs[k]: a 1-D quadrature over the intersection of the two
+    sections' supports, against the invariant density.  With grid_product as
+    the join, the blocks are broadcast along their grid axes.
     """
     refx, refw = gl_rule(-1.0, 1.0, m)
-    vals = np.conj(b1.coeff) * b2.coeff
-    n_blocks = b1.centers.shape[1]
-    for k in range(n_blocks):
-        lo = np.maximum(b1.centers[:, k] - b1.widths[:, k], b2.centers[:, k] - b2.widths[:, k])
-        hi = np.minimum(b1.centers[:, k] + b1.widths[:, k], b2.centers[:, k] + b2.widths[:, k])
+    c1, centers1, widths1 = t1.axes(xs, join)
+    c2, centers2, widths2 = t2.axes(xs, join)
+    vals = np.conj(c1) * c2
+    for k, (ca, wa, cb, wb) in enumerate(zip(centers1, widths1, centers2, widths2)):
+        lo = np.maximum(ca - wa, cb - wb)
+        hi = np.minimum(ca + wa, cb + wb)
         half = 0.5 * np.maximum(hi - lo, 0.0)
         mid = 0.5 * (hi + lo)
         live = half > 0.0
         block = np.zeros(len(lo))
         if np.any(live):
             g = mid[live, None] + half[live, None] * refx[None, :]
-            f = bump_values(b1.centers[live, k, None], b1.widths[live, k, None], g)
-            f = f * bump_values(b2.centers[live, k, None], b2.widths[live, k, None], g)
+            f = bump_values(ca[live, None], wa[live, None], g)
+            f = f * bump_values(cb[live, None], wb[live, None], g)
             f = f * (measure.scale_c / np.abs(g))
             block[live] = (f @ refw) * half[live]
-        vals = vals * block
+        # on a grid, block k varies along axis k; pointwise vals have one axis
+        vals = vals * block.reshape(block.shape + (1,) * (vals.ndim - 1 - k))
     return vals
 
 
@@ -319,13 +306,12 @@ class PairedDensity:
         return intersect_box(h1[0], h1[1], h2[0], h2[1])
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, float))
-        out = np.zeros(len(x), dtype=complex)
+        """The density at points x of shape (P, n_blocks)."""
+        (xs,) = _columns(self.s1.n_blocks, x)
+        out = np.zeros(np.shape(x)[0], dtype=complex)
         for t1 in self.s1.terms:
             for t2 in self.s2.terms:
-                out += _pair_gamma_integrals(
-                    t1.batch(x), t2.batch(x), self.s1.measure, self.quad.nodes_per_dim
-                )
+                out += _pair_gamma_integrals(t1, t2, xs, _POINTWISE, self.s1.measure, self.quad.nodes_per_dim)
         return out
 
     def integrate(self) -> complex:
@@ -347,24 +333,25 @@ def inner(s1: HalfDensityState, s2: HalfDensityState, quad: QuadConfig) -> compl
     """<s1|s2>: per term pair, x quadrature of the gamma-paired integrand.
 
     Each pair is integrated over the intersection of its own x boxes, which
-    keeps every bump fully resolved.
+    keeps every bump fully resolved.  The integrand is evaluated per axis and
+    multiplied over the tensor grid, equal bit for bit to its values at the
+    grid points.
     """
     _check_compatible(s1, s2)
     m = quad.nodes_per_dim
     total = 0.0 + 0.0j
     for t1 in s1.terms:
         for t2 in s2.terms:
-            lo1, hi1 = t1.x_box()
-            lo2, hi2 = t2.x_box()
-            box = intersect_box(lo1, hi1, lo2, hi2)
+            box = intersect_box(*t1.x_box(), *t2.x_box())
             if box is None:
                 continue
-            pts, wts = tensor_rule(box[0], box[1], m)
+            _, wts = tensor_rule(box[0], box[1], m)
+            nodes = [gl_rule(lo, hi, m)[0] for lo, hi in zip(*box)]
+            vals = np.ravel(_pair_gamma_integrals(t1, t2, nodes, grid_product, s1.measure, m))
             chunk = max(1, _CHUNK_BUDGET // m)
-            for start in range(0, len(pts), chunk):
+            for start in range(0, len(wts), chunk):
                 sl = slice(start, start + chunk)
-                vals = _pair_gamma_integrals(t1.batch(pts[sl]), t2.batch(pts[sl]), s1.measure, m)
-                total += np.dot(wts[sl], vals)
+                total += np.dot(wts[sl], vals[sl])
     return complex(total)
 
 
@@ -381,23 +368,23 @@ def joint_inner(s1: HalfDensityState, s2: HalfDensityState, quad: QuadConfig) ->
     total = 0.0 + 0.0j
     for t1 in s1.terms:
         for t2 in s2.terms:
-            xb1, xb2 = t1.x_box(), t2.x_box()
-            gb1, gb2 = t1.gamma_box(), t2.gamma_box()
+            (xlo1, xhi1), (xlo2, xhi2) = t1.x_box(), t2.x_box()
+            (glo1, ghi1), (glo2, ghi2) = t1.gamma_box(), t2.gamma_box()
+            xivs = [intersect_interval(*b) for b in zip(xlo1, xhi1, xlo2, xhi2)]
+            givs = [intersect_interval(*b) for b in zip(glo1, ghi1, glo2, ghi2)]
+            if None in xivs or None in givs:
+                continue
+            xrules = [gl_rule(lo, hi, m) for lo, hi in xivs]
+            xs = [xg for xg, _ in xrules]
+            xv1, centers1, widths1 = t1.axes(xs, np.stack)
+            xv2, centers2, widths2 = t2.axes(xs, np.stack)
             pair = 1.0 + 0.0j
-            for k in range(s1.n_blocks):
-                xiv = intersect_interval(xb1[0][k], xb1[1][k], xb2[0][k], xb2[1][k])
-                giv = intersect_interval(gb1[0][k], gb1[1][k], gb2[0][k], gb2[1][k])
-                if xiv is None or giv is None:
-                    pair = 0.0
-                    break
-                xg, xw = gl_rule(xiv[0], xiv[1], m)
+            for k, ((_, xw), giv) in enumerate(zip(xrules, givs)):
                 gg, gw = gl_rule(giv[0], giv[1], m)
-                xv1, c1, w1 = t1.dim_factor(k, xg)
-                xv2, c2, w2 = t2.dim_factor(k, xg)
-                f1 = bump_values(c1[:, None], w1[:, None], gg[None, :])
-                f2 = bump_values(c2[:, None], w2[:, None], gg[None, :])
+                f1 = bump_values(centers1[k][:, None], widths1[k][:, None], gg[None, :])
+                f2 = bump_values(centers2[k][:, None], widths2[k][:, None], gg[None, :])
                 grid = f1 * f2 * (s1.measure.scale_c / np.abs(gg))[None, :]
-                grid = grid * (np.conj(xv1) * xv2)[:, None]
+                grid = grid * (np.conj(xv1[k]) * xv2[k])[:, None]
                 pair *= complex(xw @ grid @ gw)
             total += pair
     return complex(total)

@@ -8,8 +8,8 @@ deterministic for a given ``QuadConfig``, so repeated runs are bit-stable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable, Iterable
+from functools import lru_cache, reduce
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -62,10 +62,18 @@ def tensor_rule(lo: np.ndarray, hi: np.ndarray, m: int) -> tuple[np.ndarray, np.
     axes = [gl_rule(l, h, m) for l, h in zip(lo, hi)]
     grids = np.meshgrid(*[a[0] for a in axes], indexing="ij")
     pts = np.stack([g.ravel() for g in grids], axis=-1)
-    wts = axes[0][1]
-    for _, w in axes[1:]:
-        wts = np.multiply.outer(wts, w)
-    return pts, np.asarray(wts).ravel()
+    return pts, np.ravel(grid_product([w for _, w in axes]))
+
+
+def grid_product(factors: Sequence[np.ndarray]) -> np.ndarray:
+    """The product of one factor per axis at every point of the tensor grid.
+
+    Entry (i, j, ...) is (factors[0][i] * factors[1][j]) * ..., multiplied
+    left to right; raveled, the entries follow ``tensor_rule``'s point order,
+    so a separable integrand evaluated per axis equals its pointwise values
+    bit for bit.
+    """
+    return reduce(np.multiply.outer, factors)
 
 
 def intersect_interval(lo1: float, hi1: float, lo2: float, hi2: float) -> tuple[float, float] | None:

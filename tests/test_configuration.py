@@ -7,6 +7,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from sigcone.configuration import (
+    Chart,
     ChartDomainError,
     ComposedDiffeo,
     Diffeo1D,
@@ -113,6 +114,12 @@ def test_chart_rejects_points_outside():
         chart.chart_map(point_set(1.5, 7.0))
     with pytest.raises(ChartDomainError):
         chart.inverse_map(np.array([3.5, 2.5]))
+
+
+@pytest.mark.parametrize("lo, hi", [(((math.nan,),), ((1.0,),)), (((0.0,),), ((math.inf,),))])
+def test_chart_refuses_non_finite_corners(lo, hi):
+    with pytest.raises(ValueError, match="finite"):
+        Chart(lo, hi)
 
 
 def test_transition_between_radii_is_identity(rng):
