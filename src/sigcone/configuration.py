@@ -133,6 +133,8 @@ class Diffeo1D:
     params: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
+        if not np.all(np.isfinite(self.params)):
+            raise ValueError(f"{self.tag} parameters must be finite")
         if self.tag == "identity":
             if self.params:
                 raise ValueError("identity takes no parameters")
@@ -442,8 +444,8 @@ def tangent_blocks(y: PointSet, chart: Chart) -> TangentBlocks:
 # -- numerical tangent map of an induced diffeomorphism -------------------------
 
 
-def jacobian_fd(func: Callable[[np.ndarray], np.ndarray], x: np.ndarray, h: float = 1e-4) -> np.ndarray:
-    """Richardson-extrapolated central-difference Jacobian."""
+def jacobian_fd(func: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
+    """Richardson-extrapolated central-difference Jacobian, steps 1e-4 and 1e-4 / 2."""
     x = np.asarray(x, float)
     m = len(func(x))
     jac = np.empty((m, x.size))
@@ -454,12 +456,12 @@ def jacobian_fd(func: Callable[[np.ndarray], np.ndarray], x: np.ndarray, h: floa
         def col(step: float) -> np.ndarray:
             return (func(x + step * e) - func(x - step * e)) / (2.0 * step)
 
-        c1, c2 = col(h), col(h / 2.0)
+        c1, c2 = col(1e-4), col(1e-4 / 2.0)
         jac[:, j] = (4.0 * c2 - c1) / 3.0
     return jac
 
 
-def block_pullback_vs_per_point(theta, y: PointSet, gammas: Sequence[float], h: float = 1e-4):
+def block_pullback_vs_per_point(theta, y: PointSet, gammas: Sequence[float]):
     """Pull a block-diagonal scalar product back through the induced map.
 
     Returns the blocks of J^T diag(gammas) J, with J the finite-difference
@@ -475,7 +477,7 @@ def block_pullback_vs_per_point(theta, y: PointSet, gammas: Sequence[float], h: 
         ys = PointSet(tuple((c,) for c in coords))
         return np.asarray(induced_diffeo(theta, ys).values)
 
-    jac = jacobian_fd(expr, x_pre, h)
+    jac = jacobian_fd(expr, x_pre)
     big = jac.T @ np.diag(np.asarray(gammas, float)) @ jac
     fd_blocks = np.diag(big).copy()
     off = big - np.diag(np.diag(big))

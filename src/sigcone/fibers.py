@@ -9,6 +9,7 @@ product of N cones the weight is the product of the per-block densities.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -33,8 +34,8 @@ class BumpFunction:
     width: float
 
     def __post_init__(self) -> None:
-        if not self.width > 0:
-            raise ValueError("bump width must be positive")
+        if not math.isfinite(self.center) or not 0 < self.width < math.inf:
+            raise ValueError("bump center must be finite and width positive and finite")
 
     @property
     def lo(self) -> float:
@@ -96,10 +97,11 @@ class BumpExpansion:
             out += t(pts)
         return out
 
-    def integrand_pieces(self) -> Iterator[tuple[np.ndarray, np.ndarray, BumpTerm]]:
+    def integrand_pieces(self) -> Iterator[tuple[np.ndarray, np.ndarray, tuple]]:
+        """Per term: its box and one callable per axis, the coefficient folded into the first."""
         for t in self.terms:
-            lo, hi = t.box()
-            yield lo, hi, t
+            first, *rest = t.factors
+            yield (*t.box(), (lambda u, c=complex(t.coeff), f=first: c * f(u), *rest))
 
     def support_box(self) -> tuple[np.ndarray, np.ndarray] | None:
         return hull_box(t.box() for t in self.terms)

@@ -16,11 +16,10 @@ density 1/gamma directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
-from .quadrature import QuadConfig, box_corners, tensor_rule
+from .quadrature import QuadConfig, box_corners, gl_rule, grid_product, tensor_rule
 
 DEGENERACY_FLOOR = 1e-14
 SUPPORT_DET_FLOOR = 1e-8
@@ -256,42 +255,41 @@ def check_support(lo, hi, spec: SignatureSpec, floor: float = SUPPORT_DET_FLOOR)
 def invariant_dot(pts: np.ndarray, wts: np.ndarray, vals: np.ndarray, measure: InvariantMeasure):
     """Rule sum of vals against the invariant density, 0.0 if vals vanish.
 
-    The density is evaluated only at the points where vals is nonzero; the
-    caller has certified the support with check_support.
+    |det| is taken from the vech coordinates in closed form, v0 for n = 1 and
+    v0*v2 - v1*v1 for n = 2 (the float operations of det_stack), and the
+    density only where vals is nonzero; the caller has certified the support
+    with check_support, which refuses n >= 3.
     """
     mask = vals != 0
     if not mask.any():
         return 0.0
-    absdets = np.abs(det_stack(vech_to_sym(pts[mask], measure.spec.n)))
+    det = pts[:, 0] if measure.spec.n == 1 else pts[:, 0] * pts[:, 2] - pts[:, 1] * pts[:, 1]
     weight = np.zeros(len(pts))
-    weight[mask] = measure.scale_c * absdets ** (-(measure.spec.n + 1) / 2)
+    weight[mask] = measure.scale_c * np.abs(det[mask]) ** (-(measure.spec.n + 1) / 2)
     return np.dot(wts, vals * weight)
-
-
-def _rule_sum(f, measure: InvariantMeasure, quad: QuadConfig) -> complex:
-    """Tensor-rule sum of f's pieces against the invariant measure, uncertified."""
-    total = 0.0 + 0.0j
-    for lo, hi, func in f.integrand_pieces():
-        pts, wts = tensor_rule(lo, hi, quad.nodes_per_dim)
-        total += invariant_dot(pts, wts, np.asarray(func(pts)), measure)
-    return complex(total)
 
 
 def integrate_gamma(f, measure: InvariantMeasure, quad: QuadConfig) -> complex:
     """Integral of f against the invariant measure.
 
-    f must expose integrand_pieces() yielding (lo, hi, callable) triples in
-    vech coordinates; each piece is integrated by a tensor Gauss-Legendre
-    rule over its own box.  The box is the support contract: check_support
-    must certify the whole box inside the cone with |det| >= 1e-8, once per
-    piece and before any node is evaluated, or SupportError is raised.
-    Points where the integrand vanishes exactly do not touch the weight.
+    f must expose integrand_pieces() yielding (lo, hi, factors) in vech
+    coordinates: a piece is factors[0](v0) * factors[1](v1) * ... on its box
+    and zero outside.  Each factor is evaluated on its axis' Gauss-Legendre
+    nodes, and grid_product multiplies them over the tensor grid.  The box
+    is the support contract: check_support must certify the whole box inside
+    the cone with |det| >= 1e-8, once per piece and before any node is
+    evaluated, or SupportError is raised.
     """
     for lo, hi, _ in f.integrand_pieces():
         if np.size(lo) != measure.spec.dim:
             raise ValueError(f"support box has {np.size(lo)} coordinates, expected {measure.spec.dim}")
         check_support(lo, hi, measure.spec)
-    return _rule_sum(f, measure, quad)
+    m, total = quad.nodes_per_dim, 0.0 + 0.0j
+    for lo, hi, factors in f.integrand_pieces():
+        pts, wts = tensor_rule(lo, hi, m)
+        axes = [fac(gl_rule(l, h, m)[0]) for fac, l, h in zip(factors, lo, hi)]
+        total += invariant_dot(pts, wts, np.ravel(grid_product(axes)), measure)
+    return complex(total)
 
 
 @dataclass(frozen=True)
@@ -302,36 +300,34 @@ class InvarianceReport:
     nodes: int
 
 
-class _PulledBackIntegrand:
-    """f composed with the congruence map, supported on a mapped parallelepiped."""
-
-    def __init__(self, f, vech_map: np.ndarray) -> None:
-        self._f = f
-        self._map = vech_map
-        self._inv = np.linalg.inv(vech_map)
-
-    def integrand_pieces(self) -> Iterator[tuple[np.ndarray, np.ndarray, object]]:
-        L = self._map
-        for lo, hi, func in self._f.integrand_pieces():
-            img = box_corners(lo, hi) @ self._inv.T
-            yield img.min(axis=0), img.max(axis=0), (lambda pts, fn=func: fn(pts @ L.T))
-
-
 def verify_invariance(f, g: GlElement, measure: InvariantMeasure, quad: QuadConfig) -> InvarianceReport:
     """Compare the integral of f with the integral of its congruence pull-back.
 
-    The pulled-back integrand is evaluated on the axis-aligned bounding box
-    of the transformed support, with nodes entirely unrelated to the ones
-    used on the left-hand side.  That support, g^T supp(f) g, has |det| scaled
-    by det(g)^2, so f certified at floor * max(1, det(g)^-2) covers both sides;
-    the bounding box may cross det = 0 and gets no certificate of its own.
+    The pull-back side is the independent oracle: it evaluates f's factors
+    pointwise, left to right, at the congruence images of the nodes of a
+    dense rule over the bounding box of the transformed support, nodes
+    unrelated to the left-hand side's.  That support, g^T supp(f) g, has
+    |det| scaled by det(g)^2, so f certified at floor * max(1, det(g)^-2)
+    covers both sides; the bounding box may cross det = 0 and gets no
+    certificate of its own.
     """
     floor = SUPPORT_DET_FLOOR * max(1.0, float(det_stack(g.matrix)) ** -2)
     for lo, hi, _ in f.integrand_pieces():
         check_support(lo, hi, measure.spec, floor)
     lhs = integrate_gamma(f, measure, quad)
     vech_map = congruence_vech_matrix(g.inverse, measure.spec.n)
-    rhs = _rule_sum(_PulledBackIntegrand(f, vech_map), measure, quad)
+    rhs = 0.0 + 0.0j
+    for lo, hi, factors in f.integrand_pieces():
+        img = box_corners(lo, hi) @ np.linalg.inv(vech_map).T
+        pts, wts = tensor_rule(img.min(axis=0), img.max(axis=0), quad.nodes_per_dim)
+        mapped = pts @ vech_map.T
+        vals = factors[0](mapped[:, 0])
+        for k in range(1, len(factors)):
+            # not functools.reduce, whose argument tuple keeps the last product alive
+            vals = vals * factors[k](mapped[:, k])
+        del mapped  # freed before invariant_dot allocates its weight
+        rhs += invariant_dot(pts, wts, vals, measure)
+    rhs = complex(rhs)
     rel = abs(lhs - rhs) / max(abs(lhs), 1e-300)
     return InvarianceReport(lhs=lhs, rhs=rhs, rel_err=rel, nodes=quad.nodes_per_dim)
 

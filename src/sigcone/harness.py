@@ -13,7 +13,7 @@ import math
 import os
 import time
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
@@ -49,6 +49,8 @@ class SuiteConfig:
     output_path: str | None = None
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ValueError("seed must be a non-negative integer")
         if self.trials < 1:
             raise ValueError("need at least one trial")
         if self.nodes_per_dim < 8:
@@ -76,20 +78,19 @@ class SuiteConfig:
 
     @classmethod
     def loads(cls, text: str) -> "SuiteConfig":
+        """Parse JSON text; missing keys take the field defaults, unknown keys are refused."""
         d = json.loads(text)
-        catalog = tuple(
-            cfg.Diffeo1D(t["tag"], tuple(float(p) for p in t["params"]))
-            for t in d.get("diffeo_catalog", [])
-        ) or DEFAULT_CATALOG
-        return cls(
-            seed=int(d.get("seed", 20240613)),
-            nodes_per_dim=int(d.get("nodes_per_dim", 48)),
-            trials=int(d.get("trials", 20)),
-            signature=tuple(d.get("signature", (1, 0))),
-            n_max=int(d.get("n_max", 3)),
-            diffeo_catalog=catalog,
-            output_path=d.get("output_path"),
-        )
+        unknown = set(d) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ValueError(f"unknown SuiteConfig keys: {sorted(unknown)}")
+        d.update({key: int(d[key]) for key in ("seed", "nodes_per_dim", "trials", "n_max") if key in d})
+        if "signature" in d:
+            d["signature"] = tuple(d["signature"])
+        if "diffeo_catalog" in d:
+            d["diffeo_catalog"] = tuple(
+                cfg.Diffeo1D(t["tag"], tuple(float(p) for p in t["params"])) for t in d["diffeo_catalog"]
+            ) or DEFAULT_CATALOG
+        return cls(**d)
 
 
 def default_config(suite: str, **overrides) -> SuiteConfig:
@@ -198,7 +199,6 @@ def random_state(
     n_blocks: int,
     measure: gamma.InvariantMeasure,
     n_terms: int = 2,
-    share_x_box: bool = True,
 ) -> hspace.HalfDensityState:
     """A seeded state with ordered x boxes and gamma boxes inside the cone."""
     widths = rng.uniform(0.3, 0.55, size=n_blocks)
@@ -207,10 +207,9 @@ def random_state(
     for k in range(1, n_blocks):
         centers[k] = centers[k - 1] - (widths[k - 1] + widths[k] + rng.uniform(0.3, 0.7))
     sign = 1.0 if measure.spec.p == 1 else -1.0
+    x_bumps = tuple(fibers.BumpFunction(centers[k], widths[k]) for k in range(n_blocks))
     terms = []
-    for t in range(n_terms):
-        shrink = 1.0 if (share_x_box or t == 0) else rng.uniform(0.7, 0.95)
-        x_bumps = tuple(fibers.BumpFunction(centers[k], widths[k] * shrink) for k in range(n_blocks))
+    for _ in range(n_terms):
         g_bumps = []
         for _ in range(n_blocks):
             c = rng.uniform(1.2, 2.8)
@@ -461,14 +460,14 @@ def _exact_profile(x: np.ndarray) -> np.ndarray:
 
 def _suite_counterexample(config: SuiteConfig, out: _Rows) -> None:
     grid = [2.0**-k for k in range(4, 13)]
-    fit = hspace.fit_divergence(hspace.counterexample_profile(grid))
+    fit = hspace.fit_divergence(hspace.counterexample_profile(grid, config.nodes_per_dim))
     for case_id, slope in (("slope-extrapolated", fit.slope_extrapolated), ("slope-local", fit.slope_local)):
         err = abs(slope + 1.0)
         out.add(case_id, slope, -1.0, err, err <= 0.05)
     exact_fit = hspace.fit_divergence([(x, float(_exact_profile(np.array([x]))[0])) for x in grid])
     err = abs(fit.slope_ols - exact_fit.slope_ols)
     out.add("slope-ols-vs-analytic", fit.slope_ols, exact_fit.slope_ols, err, err < 1e-6)
-    got_half = hspace.counterexample_profile([0.5])[0][1]
+    got_half = hspace.counterexample_profile([0.5], config.nodes_per_dim)[0][1]
     want_half = float(_exact_profile(np.array([0.5]))[0])
     rel = _rel(got_half, want_half)
     out.add("value-at-half", got_half, want_half, rel, rel < 1e-10)

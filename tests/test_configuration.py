@@ -170,6 +170,16 @@ def test_induced_homomorphism(seed):
     assert induced_diffeo(th1, induced_diffeo(th2, y)) == induced_diffeo(ComposedDiffeo(th1, th2), y)
 
 
+@pytest.mark.parametrize("tag, params", [
+    ("soft", (float("nan"), 1.0)), ("soft", (1.0, float("inf"))),
+    ("affine", (1.0, float("inf"))), ("affine", (float("inf"), 0.0)), ("sine", (float("nan"),)),
+])
+def test_diffeo_refuses_non_finite_parameters(tag, params):
+    # json reads NaN and Infinity, so these reached the suites through --config
+    with pytest.raises(ValueError, match="finite"):
+        Diffeo1D(tag, params)
+
+
 def test_diffeo_validation():
     with pytest.raises(ValueError):
         Diffeo1D("affine", (-1.0, 0.0))

@@ -36,6 +36,13 @@ def test_bump_function_shape():
         BumpFunction(0.0, -1.0)
 
 
+@pytest.mark.parametrize("center, width", [(float("nan"), 1.0), (float("inf"), 1.0), (0.0, float("inf")),
+                                           (0.0, float("nan"))])
+def test_bump_function_refuses_non_finite_parameters(center, width):
+    with pytest.raises(ValueError, match="finite"):
+        BumpFunction(center, width)
+
+
 def test_expansion_arithmetic_and_call():
     f = product_bump(2.0, [1.0], [0.5]) + product_bump(1j, [2.0], [0.5])
     pts = np.array([[1.0], [2.0], [5.0]])

@@ -17,6 +17,7 @@ from sigcone.gamma import (
     gl_action,
     in_gamma,
     integrate_gamma,
+    invariant_dot,
     natural_density,
     pullback_linear,
     random_gamma,
@@ -28,17 +29,22 @@ from sigcone.gamma import (
     verify_invariance,
 )
 from sigcone.fibers import product_bump
-from sigcone.quadrature import QuadConfig
+from sigcone.harness import random_cone_expansion
+from sigcone.quadrature import QuadConfig, tensor_rule
 
 
 class Boxed:
-    """A plain integrand on one declared support box, for integrate_gamma."""
+    """A plain n=1 integrand on one declared support box, for integrate_gamma.
+
+    func takes points of shape (P, 1); on a one-coordinate cone it is its own
+    single axis factor.
+    """
 
     def __init__(self, func, lo, hi):
         self.func, self.lo, self.hi = func, np.asarray(lo, float), np.asarray(hi, float)
 
     def integrand_pieces(self):
-        yield self.lo, self.hi, self.func
+        yield self.lo, self.hi, (lambda u: self.func(u[:, None]),)
 
 
 def test_symmetrize_examples():
@@ -183,6 +189,24 @@ def test_integrate_gamma_matches_adaptive_oracle():
     got = integrate_gamma(f, meas, QuadConfig(64))
     oracle, _ = sciquad(lambda g: np.exp(-1.0 / (1.0 - (g - 3.0) ** 2)) / g, 2.0, 4.0)
     assert abs(got - oracle) < 1e-8 * abs(oracle)
+
+
+@pytest.mark.parametrize("sig", [(1, 0), (0, 1), (2, 0), (1, 1)])
+@pytest.mark.parametrize("n_terms", [1, 2, 3])
+def test_integrate_gamma_per_axis_equals_pointwise_rule_sum(sig, n_terms):
+    """Factors evaluated per axis and multiplied with grid_product give, bit
+    for bit, the pointwise term values on each term's tensor rule."""
+    spec = SignatureSpec(*sig)
+    rng = np.random.default_rng(1000 * sig[0] + 10 * sig[1] + n_terms)
+    meas = InvariantMeasure(spec, float(rng.uniform(0.5, 2.0)))
+    f = random_cone_expansion(spec, rng, n_terms)
+    assert all(t.coeff.imag != 0 for t in f.terms)
+    for m in (16, 32):
+        want = 0.0 + 0.0j
+        for t in f.terms:
+            pts, wts = tensor_rule(*t.box(), m)
+            want += invariant_dot(pts, wts, t(pts), meas)
+        assert integrate_gamma(f, meas, QuadConfig(m)) == complex(want)
 
 
 def test_verify_invariance_identity_is_exact():

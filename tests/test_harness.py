@@ -35,6 +35,23 @@ def test_config_roundtrip_and_validation():
             SuiteConfig.loads(json.dumps({"signature": list(sig), "trials": 1}))
 
 
+def test_config_refuses_negative_seed():
+    # every suite stopped inside the RNG with "expected non-negative integer"
+    with pytest.raises(ValueError, match="seed"):
+        SuiteConfig(seed=-1)
+    with pytest.raises(ValueError, match="seed"):
+        SuiteConfig.loads(json.dumps({"seed": -1}))
+
+
+def test_config_loads_refuses_unknown_keys_and_defaults_missing_ones():
+    # misspelled keys used to be dropped, running 48 nodes and 20 trials
+    with pytest.raises(ValueError, match="node_per_dim"):
+        SuiteConfig.loads(json.dumps({"node_per_dim": 16, "trails": 2}))
+    assert SuiteConfig.loads("{}") == SuiteConfig()
+    assert SuiteConfig.loads(json.dumps({"trials": 2})) == SuiteConfig(trials=2)
+    assert SuiteConfig.loads(json.dumps({"diffeo_catalog": []})) == SuiteConfig()
+
+
 @pytest.mark.parametrize("suite", [
     "pairing-continuity", "unitarity", "representation-law", "rescaling",
     "kspace-axioms", "kspace-density", "graded-orthogonality",
@@ -89,6 +106,17 @@ def test_rescaling_suite_is_machine_exact():
     result = run_suite("rescaling", default_config("rescaling", trials=3))
     assert result.passed
     assert all(r.rel_err < 1e-14 for r in result.rows)
+
+
+def test_counterexample_suite_uses_the_configured_nodes():
+    from sigcone.hspace import counterexample_profile, fit_divergence
+
+    grid = [2.0**-k for k in range(4, 13)]
+    result = run_suite("counterexample", default_config("counterexample", nodes_per_dim=16))
+    by_id = {r.case_id: r for r in result.rows}
+    assert by_id["slope-local"].lhs == fit_divergence(counterexample_profile(grid, 16)).slope_local
+    assert by_id["value-at-half"].lhs == counterexample_profile([0.5], 16)[0][1]
+    assert by_id["slope-local"].lhs != fit_divergence(counterexample_profile(grid, 200)).slope_local
 
 
 def test_counterexample_suite():

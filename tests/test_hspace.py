@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from scipy.integrate import quad as sciquad
@@ -345,6 +347,14 @@ def test_counterexample_divergence_slope():
     assert abs(fit.slope_local + 1.0) <= 0.05
     # the plain least-squares slope carries the known pre-asymptotic bias
     assert abs(fit.slope_ols - (-1.0670762211131322)) < 1e-6
+
+
+def test_loads_refuses_a_non_finite_x_center(rng):
+    # x bumps are not certified, so a NaN center used to reach inner as nan+nanj
+    d = json.loads(random_state(rng, 1, MEAS, 1).dumps())
+    d["rep"]["terms"][0]["factors"][0]["center"] = float("nan")
+    with pytest.raises(ValueError, match="finite"):
+        HalfDensityState.loads(json.dumps(d))
 
 
 def test_serialization_roundtrip_and_linearity(rng):
