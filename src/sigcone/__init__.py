@@ -6,13 +6,9 @@ from .gamma import (
     InvariantMeasure,
     SignatureSpec,
     SymMatrix,
-    gl_action,
-    in_gamma,
     integrate_gamma,
     natural_density,
-    pullback_linear,
     signature,
-    symmetrize,
     verify_invariance,
 )
 from .fibers import (
@@ -20,10 +16,8 @@ from .fibers import (
     BumpFunction,
     FiberSpace,
     fiber_inner,
-    join_blocks,
     product_bump,
     pushforward_product_check,
-    split_blocks,
 )
 from .densities import AlphaDensity, Basis, density_product, evaluate, lin_comb
 from .configuration import (
@@ -37,7 +31,6 @@ from .configuration import (
     point_set,
     project,
     sorted_chart,
-    tangent_blocks,
 )
 from .hspace import (
     GradedState,

@@ -49,10 +49,16 @@ def _selected_suites(args: argparse.Namespace) -> list[str]:
     return list(SUITE_NAMES) if args.suite == "all" else [args.suite]
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _configs(args: argparse.Namespace) -> SuiteConfig | dict[str, SuiteConfig]:
+    """What the command runs on; a refused config or argument raises ValueError or OSError."""
+    if args.command == "study":
+        return SuiteConfig() if args.seed is None else SuiteConfig(seed=args.seed)
+    return {name: _load_config(name, args) for name in _selected_suites(args)}
+
+
+def _cmd_verify(args: argparse.Namespace, configs: dict[str, SuiteConfig]) -> int:
     failures = 0
-    for name in _selected_suites(args):
-        config = _load_config(name, args)
+    for name, config in configs.items():
         result = run_suite(name, config)
         path = _report_path(args, config, name)
         write_report(path, result)
@@ -68,10 +74,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
-def _cmd_study(args: argparse.Namespace) -> int:
-    ladder = [int(tok) for tok in args.ladder.split(",")]
-    config = SuiteConfig() if args.seed is None else SuiteConfig(seed=args.seed)
-    rows = convergence_study(args.op_id, ladder, config)
+def _ladder(text: str) -> list[int]:
+    ladder = [int(tok) for tok in text.split(",")]
+    if ladder != sorted(set(ladder)) or ladder[0] < 2:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a strictly increasing list of node counts >= 2")
+    return ladder
+
+
+def _cmd_study(args: argparse.Namespace, config: SuiteConfig) -> int:
+    rows = convergence_study(args.op_id, args.ladder, config)
     print(f"{'nodes':>8} {'rel_err':>14}")
     for r in rows:
         print(f"{r.nodes:>8} {r.rel_err:>14.6e}")
@@ -98,17 +109,21 @@ def main(argv: list[str] | None = None) -> int:
     p_verify.add_argument(
         "--out", help="report file (single suite) or directory; default: the config's output_path"
     )
-    p_verify.set_defaults(func=_cmd_verify)
+    p_verify.set_defaults(parser=p_verify, func=_cmd_verify)
 
     p_study = sub.add_parser("study", help="error versus node count for one operation")
     p_study.add_argument("op_id", choices=STUDY_OPS)
-    p_study.add_argument("--ladder", default="16,32,64")
+    p_study.add_argument("--ladder", type=_ladder, default="16,32,64")
     p_study.add_argument("--seed", type=int)
     p_study.add_argument("--out")
-    p_study.set_defaults(func=_cmd_study)
+    p_study.set_defaults(parser=p_study, func=_cmd_study)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        configs = _configs(args)
+    except (ValueError, OSError) as exc:  # a usage error: one line on stderr, exit status 2
+        args.parser.error(str(exc))
+    return args.func(args, configs)
 
 
 if __name__ == "__main__":

@@ -426,21 +426,6 @@ def chart_transition(chart1: Chart, chart2: Chart, coords: np.ndarray) -> np.nda
     return chart2.chart_map(chart1.inverse_map(coords))
 
 
-@dataclass(frozen=True)
-class TangentBlocks:
-    """Which point each block of chart coordinate slots moves."""
-
-    slots: tuple[tuple[int, Point], ...]
-
-    def point_of_block(self, k: int) -> Point:
-        return self.slots[k][1]
-
-
-def tangent_blocks(y: PointSet, chart: Chart) -> TangentBlocks:
-    located = chart._locate(y)
-    return TangentBlocks(tuple((k, p) for k, p in enumerate(located)))
-
-
 # -- numerical tangent map of an induced diffeomorphism -------------------------
 
 

@@ -42,10 +42,6 @@ class Basis:
     def from_array(cls, a) -> "Basis":
         return cls(tuple(tuple(float(x) for x in row) for row in np.asarray(a, float)))
 
-    @classmethod
-    def reference(cls, n: int) -> "Basis":
-        return cls.from_array(np.eye(n))
-
     def det(self) -> float:
         return float(np.linalg.det(self.array))
 
@@ -103,18 +99,3 @@ def density_product(w1: AlphaDensity, w2: AlphaDensity, quad: QuadConfig) -> Alp
     value = fiber_inner(w1.ref_value, w2.ref_value, w1.fiber, quad)
     return AlphaDensity(1.0, value)
 
-
-def conjugate(w: AlphaDensity) -> AlphaDensity:
-    if w.is_fiber_valued():
-        raise ValueError("conjugation is implemented for scalar-valued densities")
-    return AlphaDensity(w.alpha, np.conj(w.ref_value), w.fiber)
-
-
-def dominates(w1: AlphaDensity, w2: AlphaDensity) -> bool:
-    """Ordering of real one-densities, read off at the reference basis."""
-    for w in (w1, w2):
-        if w.alpha != 1.0 or w.is_fiber_valued():
-            raise ValueError("ordering is defined for scalar one-densities")
-        if abs(complex(w.ref_value).imag) > 0:
-            raise ValueError("ordering is defined for real-valued densities")
-    return complex(w1.ref_value).real >= complex(w2.ref_value).real

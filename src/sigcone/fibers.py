@@ -19,7 +19,6 @@ from .gamma import (
     InvarianceReport,
     InvariantMeasure,
     SignatureSpec,
-    SymMatrix,
     check_support,
     invariant_dot,
 )
@@ -251,39 +250,6 @@ def normalized(f: BumpExpansion, fiber: FiberSpace, quad: QuadConfig) -> BumpExp
     if nrm == 0.0:
         raise ValueError("cannot normalize the zero expansion")
     return f.scaled(1.0 / nrm)
-
-
-# -- block-diagonal scalar products on the direct sum -------------------------
-
-
-class BlockStructureError(ValueError):
-    """Off-block entries too large: not a direct-sum scalar product."""
-
-
-def split_blocks(m: SymMatrix, spec: SignatureSpec, n_blocks: int) -> tuple[SymMatrix, ...]:
-    """Extract the per-block scalar products, in index order."""
-    n = spec.n
-    if m.n != n * n_blocks:
-        raise ValueError(f"matrix size {m.n} is not {n_blocks} blocks of size {n}")
-    a = m.a
-    off = a.copy()
-    for k in range(n_blocks):
-        off[k * n : (k + 1) * n, k * n : (k + 1) * n] = 0.0
-    if off.size and np.abs(off).max() > 1e-12:
-        raise BlockStructureError("off-block entries exceed 1e-12")
-    return tuple(SymMatrix(a[k * n : (k + 1) * n, k * n : (k + 1) * n]) for k in range(n_blocks))
-
-
-def join_blocks(blocks: Sequence[SymMatrix]) -> SymMatrix:
-    if not blocks:
-        raise ValueError("need at least one block")
-    n = blocks[0].n
-    big = np.zeros((n * len(blocks), n * len(blocks)))
-    for k, b in enumerate(blocks):
-        if b.n != n:
-            raise ValueError("blocks must share one size")
-        big[k * n : (k + 1) * n, k * n : (k + 1) * n] = b.a
-    return SymMatrix(big)
 
 
 # -- 1-D monotone maps and the push-forward product identity ------------------

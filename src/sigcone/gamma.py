@@ -97,12 +97,6 @@ class SymMatrix:
     def __repr__(self) -> str:
         return f"SymMatrix({self.a.tolist()})"
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SymMatrix) and np.array_equal(self.a, other.a)
-
-    def __hash__(self):
-        return hash(self.a.tobytes())
-
 
 class GlElement:
     """An invertible matrix with its inverse cached at construction."""
@@ -124,10 +118,6 @@ class GlElement:
         inv.setflags(write=False)
         self.matrix = m
         self.inverse = inv
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
 
 
 @dataclass(frozen=True)
@@ -180,11 +170,6 @@ def congruence_vech_matrix(a: np.ndarray, n: int) -> np.ndarray:
 # -- operations --------------------------------------------------------------
 
 
-def symmetrize(t) -> SymMatrix:
-    """Identify an arbitrary square array with its symmetric part."""
-    return SymMatrix(np.asarray(t, dtype=float))
-
-
 def signature(m: SymMatrix) -> tuple[int, int, int]:
     """Eigenvalue sign counts (positive, negative, near-zero).
 
@@ -196,22 +181,6 @@ def signature(m: SymMatrix) -> tuple[int, int, int]:
     pos = int(np.sum(w > tol))
     neg = int(np.sum(w < -tol))
     return pos, neg, m.n - pos - neg
-
-
-def in_gamma(m: SymMatrix, spec: SignatureSpec) -> bool:
-    if m.n != spec.n:
-        raise ValueError(f"matrix size {m.n} does not match signature dimension {spec.n}")
-    return signature(m) == (spec.p, spec.p_prime, 0)
-
-
-def gl_action(g: GlElement, m: SymMatrix) -> SymMatrix:
-    """Congruence action gamma -> g^{-T} gamma g^{-1} (a left action)."""
-    return SymMatrix(g.inverse.T @ m.a @ g.inverse)
-
-
-def pullback_linear(l: GlElement, m: SymMatrix) -> SymMatrix:
-    """Pull-back of a scalar product along a linear isomorphism: l^T m l."""
-    return SymMatrix(l.matrix.T @ m.a @ l.matrix)
 
 
 def natural_density(m: SymMatrix, measure: InvariantMeasure) -> float:
@@ -333,17 +302,6 @@ def verify_invariance(f, g: GlElement, measure: InvariantMeasure, quad: QuadConf
 
 
 # -- sampling ----------------------------------------------------------------
-
-
-def random_gamma(spec: SignatureSpec, rng: np.random.Generator, spread: float = 0.4) -> SymMatrix:
-    """A random point of the cone: congruence image of a signature template."""
-    n = spec.n
-    scales = rng.uniform(0.5, 2.0, size=n)
-    template = np.diag(np.concatenate([scales[: spec.p], -scales[spec.p :]]))
-    a = np.eye(n) + spread * rng.uniform(-1.0, 1.0, size=(n, n))
-    while abs(np.linalg.det(a)) < 0.2:
-        a = np.eye(n) + spread * rng.uniform(-1.0, 1.0, size=(n, n))
-    return SymMatrix(a.T @ template @ a)
 
 
 def random_gl(n: int, rng: np.random.Generator, spread: float = 0.3) -> GlElement:

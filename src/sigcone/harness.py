@@ -78,12 +78,16 @@ class SuiteConfig:
 
     @classmethod
     def loads(cls, text: str) -> "SuiteConfig":
-        """Parse JSON text; missing keys take the field defaults, unknown keys are refused."""
+        """Parse JSON text of the form dumps writes; missing keys take the field defaults."""
         d = json.loads(text)
+        if not isinstance(d, dict):
+            raise ValueError(f"a SuiteConfig is a JSON object, not {text.strip()[:40]!r}")
         unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown SuiteConfig keys: {sorted(unknown)}")
-        d.update({key: int(d[key]) for key in ("seed", "nodes_per_dim", "trials", "n_max") if key in d})
+        for key, value in d.items():
+            if not _dumped_form(key, value):
+                raise ValueError(f"SuiteConfig {key} cannot be {value!r}")
         if "signature" in d:
             d["signature"] = tuple(d["signature"])
         if "diffeo_catalog" in d:
@@ -91,6 +95,18 @@ class SuiteConfig:
                 cfg.Diffeo1D(t["tag"], tuple(float(p) for p in t["params"])) for t in d["diffeo_catalog"]
             ) or DEFAULT_CATALOG
         return cls(**d)
+
+
+def _dumped_form(key: str, v) -> bool:
+    """Whether v has the JSON form SuiteConfig.dumps writes under key, the only one loads accepts."""
+    if key == "signature":
+        return isinstance(v, list) and len(v) == 2 and all(type(x) is int for x in v)
+    if key == "diffeo_catalog":
+        return isinstance(v, list) and all(
+            isinstance(t, dict) and set(t) == {"tag", "params"} and isinstance(t["params"], list)
+            and all(type(x) in (int, float) for x in t["params"]) for t in v
+        )
+    return v is None or isinstance(v, str) if key == "output_path" else type(v) is int
 
 
 def default_config(suite: str, **overrides) -> SuiteConfig:

@@ -248,11 +248,6 @@ def _columns(n_blocks: int, *arrays) -> list[list[np.ndarray]]:
     return [list(np.array(np.asarray(a, float).T)) for a in arrays]
 
 
-def lin_comb(z1: complex, s1: HalfDensityState, z2: complex, s2: HalfDensityState) -> HalfDensityState:
-    _check_compatible(s1, s2)
-    return s1.scaled(z1) + s2.scaled(z2)
-
-
 # -- pairing and inner product -------------------------------------------------
 
 

@@ -159,21 +159,15 @@ def k_pullback(theta, s: SparseSection) -> SparseSection:
 # -- orthonormal families ----------------------------------------------------
 
 
-def bump_family(fiber: FiberSpace, size: int) -> list[BumpExpansion]:
-    """A linearly independent family of overlapping product bumps."""
+def orthonormal_family(fiber: FiberSpace, size: int, quad: QuadConfig) -> list[BumpExpansion]:
+    """Gram-Schmidt over the fiber inner product, with one re-orthogonalization,
+    applied to size overlapping product bumps on a 1-D cone."""
     if fiber.spec.n != 1:
         raise ValueError("the stock family is built for 1-D cones")
     sign = 1.0 if fiber.spec.p == 1 else -1.0
-    base = [product_bump(1.0, [sign * (1.6 + 0.9 * j)] * fiber.n_blocks, [1.2] * fiber.n_blocks) for j in range(size)]
-    return base
-
-
-def orthonormal_family(fiber: FiberSpace, size: int, quad: QuadConfig) -> list[BumpExpansion]:
-    """Gram-Schmidt over the fiber inner product, with one re-orthogonalization."""
-    raw = bump_family(fiber, size)
     out: list[BumpExpansion] = []
-    for f in raw:
-        v = f
+    for j in range(size):
+        v = product_bump(1.0, [sign * (1.6 + 0.9 * j)] * fiber.n_blocks, [1.2] * fiber.n_blocks)
         for _ in range(2):
             for e in out:
                 v = v + e.scaled(-fiber_inner(e, v, fiber, quad))

@@ -26,7 +26,6 @@ from sigcone.configuration import (
     sine,
     soft,
     sorted_chart,
-    tangent_blocks,
 )
 
 CATALOG = [affine(1.6, 0.35), affine(0.7, -0.8), soft(0.8, 0.9), sine(0.45)]
@@ -219,26 +218,6 @@ def test_composed_diffeo_consistency(rng):
     h = 1e-6
     fd = (comp(x + h) - comp(x - h)) / (2 * h)
     assert np.max(np.abs(fd - comp.deriv(x))) < 1e-8
-
-
-def test_tangent_blocks_assignment():
-    y1 = point_set(5.0)
-    assert len(tangent_blocks(y1, local_chart(y1, 0.3)).slots) == 1
-    y = point_set(1.0, 2.0)
-    chart = local_chart(y, 0.3)
-    blocks = tangent_blocks(y, chart)
-    assert blocks.point_of_block(0) == (2.0,)
-    assert blocks.point_of_block(1) == (1.0,)
-
-
-def test_tangent_blocks_transport():
-    # the block at slot k moves to the image point under the induced map
-    y = point_set(0.5, 2.0, 3.5)
-    theta = sine(0.45)
-    chart = local_chart(y, 0.3)
-    moved = tangent_blocks(induced_diffeo(theta, y), chart.transported(theta))
-    for k, p in tangent_blocks(y, chart).slots:
-        assert abs(moved.point_of_block(k)[0] - float(theta(np.asarray(p[0])))) < 1e-15
 
 
 @pytest.mark.parametrize("theta", CATALOG)

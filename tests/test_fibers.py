@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from sigcone.fibers import (
-    BlockStructureError,
     BumpExpansion,
     BumpFunction,
     BumpTerm,
@@ -11,13 +10,11 @@ from sigcone.fibers import (
     Weighted1D,
     fiber_inner,
     fiber_norm,
-    join_blocks,
     normalized,
     product_bump,
     pushforward_product_check,
-    split_blocks,
 )
-from sigcone.gamma import InvariantMeasure, SignatureSpec, SymMatrix, random_gamma, signature
+from sigcone.gamma import InvariantMeasure, SignatureSpec
 from sigcone.quadrature import QuadConfig, quad_1d
 
 QUAD = QuadConfig(48)
@@ -142,29 +139,6 @@ def test_normalized():
     fiber = FiberSpace(MEAS, 1)
     f = normalized(product_bump(3.0, [2.0], [0.5]), fiber, QUAD)
     assert abs(fiber_norm(f, fiber, QUAD) - 1.0) < 1e-12
-
-
-def test_block_bijection_roundtrip(rng):
-    g1 = SymMatrix([[1.5, 0.2], [0.2, 1.1]])
-    g2 = SymMatrix([[0.9, -0.1], [-0.1, 1.3]])
-    big = join_blocks([g1, g2])
-    b1, b2 = split_blocks(big, SignatureSpec(2, 0), 2)
-    assert np.array_equal(b1.a, g1.a) and np.array_equal(b2.a, g2.a)
-    (only,) = split_blocks(g1, SignatureSpec(2, 0), 1)
-    assert np.array_equal(only.a, g1.a)
-    bad = big.a.copy()
-    bad[0, 3] = bad[3, 0] = 1e-6
-    with pytest.raises(BlockStructureError):
-        split_blocks(SymMatrix(bad), SignatureSpec(2, 0), 2)
-
-
-def test_block_signature_adds(rng):
-    # eigenvalue oracle per block: blockdiag of (p, p') blocks has (Np, Np')
-    spec = SignatureSpec(1, 1)
-    blocks = [random_gamma(spec, rng) for _ in range(3)]
-    for b in blocks:
-        assert signature(b) == (1, 1, 0)
-    assert signature(join_blocks(blocks)) == (3, 3, 0)
 
 
 def test_monotone_map_validation():

@@ -4,6 +4,7 @@ from dataclasses import replace
 import pytest
 
 from sigcone.cli import main
+from sigcone.configuration import Diffeo1D
 from sigcone.harness import (
     ReportRow,
     SuiteConfig,
@@ -50,6 +51,58 @@ def test_config_loads_refuses_unknown_keys_and_defaults_missing_ones():
     assert SuiteConfig.loads("{}") == SuiteConfig()
     assert SuiteConfig.loads(json.dumps({"trials": 2})) == SuiteConfig(trials=2)
     assert SuiteConfig.loads(json.dumps({"diffeo_catalog": []})) == SuiteConfig()
+
+
+@pytest.mark.parametrize("text", [
+    '{"trials": 2.9}',  # used to run 2 trials and pass
+    '{"seed": 7.0}',
+    '{"nodes_per_dim": "48"}',
+    '{"n_max": true}',
+    '{"signature": [1]}',
+    '{"signature": [1, 0.0]}',
+    '{"signature": "10"}',
+    '{"diffeo_catalog": [{"tag": "sine"}]}',
+    '{"diffeo_catalog": [{"params": [0.45]}]}',
+    '{"diffeo_catalog": [{"tag": "sine", "params": [0.45], "note": 1}]}',
+    '{"diffeo_catalog": [{"tag": "sine", "params": [null]}]}',
+    '{"diffeo_catalog": {"tag": "sine", "params": [0.45]}}',
+    '{"output_path": 3}',
+    '[1, 0]',
+    'not json',
+])
+def test_config_loads_refuses_what_dumps_never_writes(text):
+    with pytest.raises(ValueError):
+        SuiteConfig.loads(text)
+
+
+def test_config_loads_accepts_integer_catalog_params():
+    text = json.dumps({"diffeo_catalog": [{"tag": "affine", "params": [2, 0]}]})
+    assert SuiteConfig.loads(text).diffeo_catalog == (Diffeo1D("affine", (2.0, 0.0)),)
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["verify", "rescaling", "--seed", "-1"], None),  # also used to exit with status 1
+    (["verify", "rescaling"], '{"trails": 2}'),
+    (["verify", "rescaling"], '{"signature": [1]}'),
+    (["verify", "rescaling"], '{"diffeo_catalog": [{"tag": "sine"}]}'),
+    (["verify", "rescaling"], "not json"),
+    (["verify", "rescaling"], "<missing file>"),
+    (["study", "unitarity", "--ladder", "16,8"], None),
+    (["study", "unitarity", "--ladder", "a"], None),
+])
+def test_refused_cli_input_is_a_usage_error(argv, config, tmp_path, capsys):
+    # each of these used to end in a Python traceback
+    if config is not None:
+        path = tmp_path / "config.json"
+        if config != "<missing file>":
+            path.write_text(config)
+        argv = [*argv, "--config", str(path)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].startswith(f"sigcone {argv[0]}: error: ")
 
 
 @pytest.mark.parametrize("suite", [

@@ -18,7 +18,6 @@ from sigcone.hspace import (
     graded_inner,
     inner,
     joint_inner,
-    lin_comb,
     norm,
     pair_to_density,
     pullback,
@@ -88,7 +87,7 @@ def test_inner_hermitian_and_sesquilinear(rng):
         a = inner(s1, s2, QUAD)
         assert abs(np.conj(inner(s2, s1, QUAD)) - a) < 1e-12 * max(abs(a), 1e-30)
         z1, z2 = 0.8 - 0.4j, -0.3 + 1.1j
-        lhs = inner(s1, lin_comb(z1, s2, z2, s3), QUAD)
+        lhs = inner(s1, s2.scaled(z1) + s3.scaled(z2), QUAD)
         rhs = z1 * inner(s1, s2, QUAD) + z2 * inner(s1, s3, QUAD)
         assert abs(lhs - rhs) < 1e-9 * max(abs(lhs), 1e-30)
         assert inner(s1, s1, QUAD).real > 0
@@ -367,7 +366,7 @@ def test_serialization_roundtrip_and_linearity(rng):
     # the coordinate-representation map is linear
     s3 = random_state(rng, 2, MEAS, 1)
     z1, z2 = 1.2 - 0.1j, 0.3 + 0.8j
-    combo_rep = lin_comb(z1, s1, z2, s3).to_expansion()
+    combo_rep = (s1.scaled(z1) + s3.scaled(z2)).to_expansion()
     pts = np.column_stack([xs, gs])
     direct = z1 * s1.to_expansion()(pts) + z2 * s3.to_expansion()(pts)
     assert np.max(np.abs(combo_rep(pts) - direct)) < 1e-14

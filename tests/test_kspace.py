@@ -11,7 +11,6 @@ from sigcone.harness import random_point_set, random_section
 from sigcone.kspace import (
     SparseSection,
     basis_element,
-    bump_family,
     graded_k_inner,
     k_inner,
     k_norm,
@@ -151,7 +150,7 @@ def test_orthonormal_family_two_blocks():
     fam = orthonormal_family(fiber, 2, QUAD)
     gram = np.array([[fiber_inner(a, b, fiber, QUAD) for b in fam] for a in fam])
     assert np.max(np.abs(gram - np.eye(2))) < 1e-9
-    assert all(f.dims == 2 for f in bump_family(fiber, 2))
+    assert all(f.dims == 2 for f in fam)
 
 
 def test_graded_sections(rng):
