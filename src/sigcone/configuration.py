@@ -10,7 +10,8 @@ every increasing diffeomorphism of the line acts on subsets point by point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -30,14 +31,15 @@ class ChartDomainError(ValueError):
 
 def _points(points) -> tuple[Point, ...]:
     """The one point validator: float tuples of one dimension, finite, separated."""
-    pts = tuple(tuple(float(x) for x in p) for p in points)
+    pts = tuple([tuple(map(float, p)) for p in points])
     if not pts:
         raise ValueError("need at least one point")
-    if not pts[0]:
+    d = len(pts[0])
+    if not d:
         raise ValueError("points need at least one coordinate")
-    if len({len(p) for p in pts}) > 1:
+    if any([len(p) != d for p in pts]):
         raise ValueError("points of mixed dimension")
-    if not all(math.isfinite(x) for p in pts for x in p):
+    if not all(map(math.isfinite, [x for p in pts for x in p])):
         raise ValueError("point coordinates must be finite")
     if len(pts) > 1 and _min_separation(pts) <= MIN_POINT_SEPARATION:
         raise DuplicatePointError("points closer than 1e-12 in max norm")
@@ -45,11 +47,16 @@ def _points(points) -> tuple[Point, ...]:
 
 
 def _min_separation(pts: Sequence[Point]) -> float:
+    """The exact smallest pairwise max-norm distance, by a sort and a sweep from each
+    p that stops once q[0] - p[0] (a lower bound, growing along it) reaches the best."""
+    pts = sorted(pts)
     best = math.inf
-    for i in range(len(pts)):
+    for i, p in enumerate(pts):
         for j in range(i + 1, len(pts)):
-            dist = max(abs(a - b) for a, b in zip(pts[i], pts[j]))
-            best = min(best, dist)
+            q = pts[j]
+            if q[0] - p[0] >= best:
+                break
+            best = min(best, max(map(abs, map(operator.sub, p, q))))
     return best
 
 
@@ -97,7 +104,7 @@ class PointSet:
         """Flat decreasing coordinates; only meaningful for d = 1."""
         if self.d != 1:
             raise ValueError("flat coordinates are defined for d = 1")
-        return tuple(p[0] for p in self.canonical)
+        return tuple([p[0] for p in self.canonical])
 
 
 def project(t: PointTuple) -> PointSet:
@@ -107,7 +114,7 @@ def project(t: PointTuple) -> PointSet:
 
 def point_set(*coords) -> PointSet:
     """Convenience constructor from unordered scalar coordinates (d = 1)."""
-    return PointSet(tuple((c,) for c in coords))
+    return PointSet(tuple([(c,) for c in coords]))
 
 
 def sorted_chart(y: PointSet) -> tuple[float, ...]:
@@ -211,32 +218,33 @@ class Diffeo1D:
 
 
 def _monotone_inverse(theta, y: np.ndarray) -> np.ndarray:
-    """Invert a strictly increasing map by safeguarded Newton iteration."""
+    """Invert a strictly increasing map by safeguarded Newton iteration, per element:
+    an array call returns, bit for bit, the floats of one call per element."""
     y = np.asarray(y, float)
     scalar = y.ndim == 0
     y = np.atleast_1d(y).astype(float)
     # the catalog maps satisfy |theta(x) - x| <= slack on the whole line
-    slack = float(np.max(np.abs(theta(y) - y))) + 1.0
+    slack = np.abs(theta(y) - y) + 1.0
     lo = y - slack
     hi = y + slack
-    while np.any(theta(lo) > y):
-        lo -= slack
-    while np.any(theta(hi) < y):
-        hi += slack
+    while (out := theta(lo) > y).any():
+        lo = np.where(out, lo - slack, lo)
+    while (out := theta(hi) < y).any():
+        hi = np.where(out, hi + slack, hi)
     x = y.copy()
-    tol = 1e-14 * (1.0 + float(np.max(np.abs(y))))
+    tol = 1e-14 * (1.0 + np.abs(y))
     for _ in range(100):
         fx = theta(x) - y
-        if np.max(np.abs(fx)) <= tol:
+        done = np.abs(fx) <= tol
+        if done.all():
             break
         below = fx < 0
         lo = np.where(below, np.maximum(lo, x), lo)
         hi = np.where(below, hi, np.minimum(hi, x))
         x_new = x - fx / theta.deriv(x)
-        bad = (x_new < lo) | (x_new > hi)
-        if np.any(bad):
+        if (bad := (x_new < lo) | (x_new > hi)).any():
             x_new = np.where(bad, 0.5 * (lo + hi), x_new)
-        x = x_new
+        x = np.where(done, x, x_new)
     return float(x[0]) if scalar else x
 
 
@@ -308,7 +316,7 @@ def induced_diffeo(theta: Callable, y: PointSet) -> PointSet:
     """Apply a 1-D diffeomorphism point by point and re-canonicalize."""
     if y.d != 1:
         raise ValueError("induced maps are implemented over the line")
-    return PointSet(tuple((float(theta(np.asarray(p[0]))),) for p in y.canonical))
+    return point_set(*np.asarray(theta(np.asarray(y.values)), float).tolist())
 
 
 # -- local charts ---------------------------------------------------------------
@@ -316,15 +324,16 @@ def induced_diffeo(theta: Callable, y: PointSet) -> PointSet:
 
 @dataclass(frozen=True)
 class Chart:
-    """Disjoint open boxes, one per point, with optional per-box coordinates.
+    """Disjoint open boxes, one per point, with an optional coordinate map.
 
     The chart map sends a subset with exactly one point in every box to the
-    concatenation of per-box coordinates, in the chart's own box order.
+    concatenation of its points' coordinates, in the chart's own box order,
+    with ``coords`` (a 1-D map, None for the identity) applied to each.
     """
 
     lo: tuple[tuple[float, ...], ...]
     hi: tuple[tuple[float, ...], ...]
-    maps: tuple[object, ...] = field(default=())  # per-box 1-D coordinate maps or None
+    coords: object = None
 
     def __post_init__(self) -> None:
         lo = np.asarray(self.lo, float)
@@ -333,16 +342,13 @@ class Chart:
             raise ValueError("boxes need matching (N, d) corner arrays")
         if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
             raise ValueError("box corners must be finite")
-        if np.any(lo >= hi):
+        if (lo >= hi).any():
             raise ValueError("degenerate box")
-        for i in range(len(lo)):
-            for j in range(i + 1, len(lo)):
-                if np.all(np.maximum(lo[i], lo[j]) < np.minimum(hi[i], hi[j])):
+        boxes = list(zip(self.lo, self.hi))
+        for i, (lo_i, hi_i) in enumerate(boxes):
+            for lo_j, hi_j in boxes[i + 1:]:
+                if all([max(a, c) < min(b, e) for a, b, c, e in zip(lo_i, hi_i, lo_j, hi_j)]):
                     raise ValueError("chart boxes must be pairwise disjoint")
-        if not self.maps:
-            object.__setattr__(self, "maps", (None,) * len(lo))
-        elif len(self.maps) != len(lo):
-            raise ValueError("need one coordinate map per box")
 
     @property
     def n(self) -> int:
@@ -365,49 +371,42 @@ class Chart:
 
     def chart_map(self, y: PointSet) -> np.ndarray:
         """Coordinates of a subset in the chart's domain."""
-        coords: list[float] = []
-        for k, p in enumerate(self._locate(y)):
-            mp = self.maps[k]
-            vals = p if mp is None else tuple(float(mp(np.asarray(x))) for x in p)
-            coords.extend(vals)
-        return np.asarray(coords, float)
+        flat = np.array(self._locate(y), float).ravel()
+        return flat if self.coords is None else np.asarray(self.coords(flat), float)
 
     def inverse_map(self, coords: np.ndarray) -> PointSet:
-        rows = np.asarray(coords, float).reshape(self.n, self.d).tolist()
+        flat = np.asarray(coords, float).reshape(self.n * self.d)
+        if self.coords is not None:
+            flat = np.asarray(self.coords.inverse(flat), float)
         pts = []
-        for row, mp, lo, hi in zip(rows, self.maps, self.lo, self.hi):
-            p = tuple(row) if mp is None else tuple(float(mp.inverse(x)) for x in row)
+        for p, lo, hi in zip(flat.reshape(self.n, self.d).tolist(), self.lo, self.hi):
             if not all(a < x < b for a, x, b in zip(lo, p, hi)):
                 raise ChartDomainError("coordinates fall outside the chart image")
-            pts.append(p)
+            pts.append(tuple(p))
         return PointSet(tuple(pts))
 
     def permuted(self, order: Sequence[int]) -> "Chart":
         order = tuple(order)
         if sorted(order) != list(range(self.n)):
             raise ValueError("not a permutation of the boxes")
-        return Chart(
-            tuple(self.lo[i] for i in order),
-            tuple(self.hi[i] for i in order),
-            tuple(self.maps[i] for i in order),
-        )
+        return Chart(tuple(self.lo[i] for i in order), tuple(self.hi[i] for i in order), self.coords)
 
     def transported(self, theta) -> "Chart":
         """The image chart under an increasing 1-D diffeomorphism.
 
-        Boxes map forward; per-box coordinates compose with the inverse, so
+        Boxes map forward; the coordinate map composes with the inverse, so
         the transported chart assigns the original coordinates to moved
         points.
         """
         if self.d != 1:
             raise ValueError("chart transport is implemented over the line")
-        lo = tuple((float(theta(np.asarray(l[0]))),) for l in self.lo)
-        hi = tuple((float(theta(np.asarray(h[0]))),) for h in self.hi)
-        maps = []
-        for mp in self.maps:
-            inv = inverse_diffeo(theta)
-            maps.append(inv if mp is None else ComposedDiffeo(mp, inv))
-        return Chart(lo, hi, tuple(maps))
+        corners = np.asarray(theta(np.array([self.lo, self.hi], float).ravel()), float).tolist()
+        inv = inverse_diffeo(theta)
+        return Chart(
+            tuple([(v,) for v in corners[: self.n]]),
+            tuple([(v,) for v in corners[self.n:]]),
+            inv if self.coords is None else ComposedDiffeo(self.coords, inv),
+        )
 
 
 def local_chart(y: PointSet, box_radius: float) -> Chart:
@@ -432,8 +431,7 @@ def chart_transition(chart1: Chart, chart2: Chart, coords: np.ndarray) -> np.nda
 def jacobian_fd(func: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
     """Richardson-extrapolated central-difference Jacobian, steps 1e-4 and 1e-4 / 2."""
     x = np.asarray(x, float)
-    m = len(func(x))
-    jac = np.empty((m, x.size))
+    cols = []
     for j in range(x.size):
         e = np.zeros_like(x)
         e[j] = 1.0
@@ -442,8 +440,8 @@ def jacobian_fd(func: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.n
             return (func(x + step * e) - func(x - step * e)) / (2.0 * step)
 
         c1, c2 = col(1e-4), col(1e-4 / 2.0)
-        jac[:, j] = (4.0 * c2 - c1) / 3.0
-    return jac
+        cols.append((4.0 * c2 - c1) / 3.0)
+    return np.column_stack(cols)
 
 
 def block_pullback_vs_per_point(theta, y: PointSet, gammas: Sequence[float]):
@@ -459,8 +457,7 @@ def block_pullback_vs_per_point(theta, y: PointSet, gammas: Sequence[float]):
     x_pre = np.asarray(y_pre.values)
 
     def expr(coords: np.ndarray) -> np.ndarray:
-        ys = PointSet(tuple((c,) for c in coords))
-        return np.asarray(induced_diffeo(theta, ys).values)
+        return np.asarray(induced_diffeo(theta, point_set(*coords.tolist())).values)
 
     jac = jacobian_fd(expr, x_pre)
     big = jac.T @ np.diag(np.asarray(gammas, float)) @ jac

@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import cached_property, partial, reduce
 from typing import Sequence
 
 import numpy as np
@@ -55,12 +55,14 @@ class BumpStateTerm:
     def n_blocks(self) -> int:
         return len(self.x_factors)
 
+    @cached_property
     def x_box(self) -> tuple[np.ndarray, np.ndarray]:
         return (
             np.array([f.lo for f in self.x_factors]),
             np.array([f.hi for f in self.x_factors]),
         )
 
+    @cached_property
     def gamma_box(self) -> tuple[np.ndarray, np.ndarray]:
         return (
             np.array([f.lo for f in self.g_factors]),
@@ -94,16 +96,16 @@ class PulledStateTerm:
     def n_blocks(self) -> int:
         return self.base.n_blocks
 
+    @cached_property
     def x_box(self) -> tuple[np.ndarray, np.ndarray]:
-        lo, hi = self.base.x_box()
-        return (
-            np.array([float(self.theta.inverse(v)) for v in lo]),
-            np.array([float(self.theta.inverse(v)) for v in hi]),
-        )
+        lo, hi = self.base.x_box
+        x = np.asarray(self.theta.inverse(np.concatenate([lo, hi])), float)
+        return x[: len(lo)], x[len(lo):]
 
+    @cached_property
     def gamma_box(self) -> tuple[np.ndarray, np.ndarray]:
-        glo, ghi = self.base.gamma_box()
-        xlo, xhi = self.x_box()
+        glo, ghi = self.base.gamma_box
+        xlo, xhi = self.x_box
         los = np.empty_like(glo)
         his = np.empty_like(ghi)
         for k in range(len(glo)):
@@ -143,10 +145,10 @@ class HalfDensityState:
         for t in self.terms:
             if t.n_blocks != self.n_blocks:
                 raise ValueError("term block count disagrees with the state")
-            lo, hi = t.x_box()
+            lo, hi = t.x_box
             if np.any(lo[:-1] <= hi[1:]):
                 raise ValueError("x support must stay inside the sorted cone")
-            check_support(*t.gamma_box(), self.measure.spec)
+            check_support(*t.gamma_box, self.measure.spec)
 
     # construction ------------------------------------------------------------
 
@@ -197,10 +199,10 @@ class HalfDensityState:
     # geometry ------------------------------------------------------------------
 
     def x_hull(self) -> tuple[np.ndarray, np.ndarray] | None:
-        return hull_box(t.x_box() for t in self.terms)
+        return hull_box(t.x_box for t in self.terms)
 
     def gamma_hull(self) -> tuple[np.ndarray, np.ndarray] | None:
-        return hull_box(t.gamma_box() for t in self.terms)
+        return hull_box(t.gamma_box for t in self.terms)
 
     def value(self, x: np.ndarray, gamma: np.ndarray) -> np.ndarray:
         """Pointwise coordinate values psi(x, gamma); x and gamma have shape (P, n_blocks)."""
@@ -337,7 +339,7 @@ def inner(s1: HalfDensityState, s2: HalfDensityState, quad: QuadConfig) -> compl
     total = 0.0 + 0.0j
     for t1 in s1.terms:
         for t2 in s2.terms:
-            box = intersect_box(*t1.x_box(), *t2.x_box())
+            box = intersect_box(*t1.x_box, *t2.x_box)
             if box is None:
                 continue
             _, wts = tensor_rule(box[0], box[1], m)
@@ -363,8 +365,8 @@ def joint_inner(s1: HalfDensityState, s2: HalfDensityState, quad: QuadConfig) ->
     total = 0.0 + 0.0j
     for t1 in s1.terms:
         for t2 in s2.terms:
-            (xlo1, xhi1), (xlo2, xhi2) = t1.x_box(), t2.x_box()
-            (glo1, ghi1), (glo2, ghi2) = t1.gamma_box(), t2.gamma_box()
+            (xlo1, xhi1), (xlo2, xhi2) = t1.x_box, t2.x_box
+            (glo1, ghi1), (glo2, ghi2) = t1.gamma_box, t2.gamma_box
             xivs = [intersect_interval(*b) for b in zip(xlo1, xhi1, xlo2, xhi2)]
             givs = [intersect_interval(*b) for b in zip(glo1, ghi1, glo2, ghi2)]
             if None in xivs or None in givs:

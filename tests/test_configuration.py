@@ -3,10 +3,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from sigcone.configuration import (
+    MIN_POINT_SEPARATION,
     Chart,
     ChartDomainError,
     ComposedDiffeo,
@@ -27,6 +28,7 @@ from sigcone.configuration import (
     soft,
     sorted_chart,
 )
+from sigcone.configuration import _min_separation
 
 CATALOG = [affine(1.6, 0.35), affine(0.7, -0.8), soft(0.8, 0.9), sine(0.45)]
 
@@ -88,6 +90,52 @@ def test_pointset_refuses_bad_points(points, error):
 def test_pointtuple_refuses_nan():
     with pytest.raises(ValueError):
         PointTuple(((math.nan,), (math.nan,)))
+
+
+def _pairwise_min_separation(pts):
+    """Oracle: the smallest max-norm distance over all pairs, one pair at a time."""
+    best = math.inf
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            best = min(best, max(abs(a - b) for a, b in zip(pts[i], pts[j])))
+    return best
+
+
+_NEAR_FLOOR = (np.nextafter(MIN_POINT_SEPARATION, 0.0), MIN_POINT_SEPARATION, np.nextafter(MIN_POINT_SEPARATION, 1.0))
+
+
+@st.composite
+def _point_lists(draw):
+    """d = 1..3, N = 2..8; coordinates repeat often, and one pair may be planted
+    at max-norm distance 1e-12 or one ulp either side, differing in one axis."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(2, 8))
+    coord = st.floats(-4.0, 4.0) | st.sampled_from([0.0, 1.0, -1.0])
+    pts = [[draw(coord) for _ in range(d)] for _ in range(n)]
+    if draw(st.booleans()):
+        i, j = draw(st.permutations(range(n)))[:2]
+        k = draw(st.integers(0, d - 1))
+        pts[j] = list(pts[i])
+        pts[i][k] = 0.0
+        pts[j][k] = draw(st.sampled_from(_NEAR_FLOOR)) * draw(st.sampled_from([1.0, -1.0]))
+    return [tuple(p) for p in pts]
+
+
+@given(_point_lists())
+@example([(0.0,), (1e-12,)])
+@example([(0.0,), (np.nextafter(1e-12, 1.0),), (3.0,)])
+@example([(2.0, 0.0), (2.0, np.nextafter(1e-12, 0.0)), (-1.0, 5.0)])
+@example([(1.0, 0.0, 2.0), (1.0, 0.0, 2.0 + 1e-9), (1.0, 3.0, 2.0)])
+def test_min_separation_matches_pairwise_oracle(pts):
+    oracle = _pairwise_min_separation(pts)
+    assert _min_separation(pts) == oracle
+    for cls in (PointSet, PointTuple):
+        try:
+            cls(tuple(pts))
+            accepted = True
+        except DuplicatePointError:
+            accepted = False
+        assert accepted == (oracle > MIN_POINT_SEPARATION)
 
 
 def test_inverse_map_refuses_nan_coordinates():
@@ -199,6 +247,20 @@ def test_diffeo_inverse_accuracy(theta, rng):
     assert np.max(np.abs(inv(theta(np.asarray(y))) - y)) < 1e-10
 
 
+@pytest.mark.parametrize(
+    "theta",
+    [sine(0.45), soft(0.8, 0.9), affine(1.6, 0.35), ComposedDiffeo(soft(0.8, 0.9), sine(0.45)), inverse_diffeo(sine(0.45))],
+    ids=["sine", "soft", "affine", "soft-after-sine", "sine-inverse"],
+)
+def test_inverse_is_per_element(theta, rng):
+    # an element's inverse must not depend on the other elements of the array
+    y = np.concatenate([rng.uniform(-1e3, 1e3, 20), rng.uniform(-1.0, 1.0, 20)])
+    with np.errstate(over="ignore"):  # cosh(k y) overflows far out, where sech^2 is rightly 0
+        x = theta.inverse(y)
+        assert x.tolist() == [theta.inverse(v) for v in y]
+        assert np.all(np.abs(theta(x) - y) <= 1e-14 * (1.0 + np.abs(y)))
+
+
 @pytest.mark.parametrize("theta", CATALOG + [ComposedDiffeo(soft(0.8, 0.9), sine(0.45))])
 def test_deriv_range_brackets_samples(theta, rng):
     for _ in range(20):
@@ -245,6 +307,22 @@ def test_transported_chart_composes(rng):
         assert np.max(np.abs(twice.chart_map(moved) - coords)) < 1e-12
         back = twice.inverse_map(coords)
         assert np.max(np.abs(np.subtract(back.values, moved.values))) < 1e-12
+
+
+def test_one_map_chart_matches_per_box_composition(rng):
+    # a chart transported twice carries one map; the same map applied box by
+    # box, one coordinate per call, must give the same floats
+    th1, th2 = soft(0.8, 0.9), sine(0.45)
+    base = np.array([1.0, 2.5, 4.0])
+    twice = local_chart(point_set(*base), 0.3).transported(th1).transported(th2)
+    per_box = ComposedDiffeo(inverse_diffeo(th1), inverse_diffeo(th2))
+    for _ in range(10):
+        moved = induced_diffeo(ComposedDiffeo(th2, th1), point_set(*(base + rng.uniform(-0.2, 0.2, size=3))))
+        boxed = [[p for p in moved.canonical if lo[0] < p[0] < hi[0]] for lo, hi in zip(twice.lo, twice.hi)]
+        coords = twice.chart_map(moved)
+        assert coords.tolist() == [float(per_box(np.asarray(p[0]))) for (p,) in boxed]
+        expected = point_set(*[float(per_box.inverse(np.asarray(c))) for c in coords])
+        assert twice.inverse_map(coords) == expected
 
 
 @pytest.mark.parametrize("theta", CATALOG)

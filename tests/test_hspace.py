@@ -242,10 +242,40 @@ def test_pullback_identity_and_scaling_formula(rng):
 def test_pullback_moves_supports():
     s = simple_state(xc=1.0, xw=0.5, gc=2.0, gw=0.5)
     p = pullback(affine(2.0, 0.0), s)
-    xlo, xhi = p.terms[0].x_box()
+    xlo, xhi = p.terms[0].x_box
     assert abs(xlo[0] - 0.25) < 1e-15 and abs(xhi[0] - 0.75) < 1e-15
-    glo, ghi = p.terms[0].gamma_box()
+    glo, ghi = p.terms[0].gamma_box
     assert abs(glo[0] - 4 * 1.5) < 1e-12 and abs(ghi[0] - 4 * 2.5) < 1e-12
+
+
+def test_pulled_term_boxes_are_computed_once(rng):
+    # each pulled term inverts its box corners once, when the state is built,
+    # not again for every term pair of an inner product
+    calls = []
+
+    class CountedSine:
+        theta = sine(0.45)
+
+        def __call__(self, x):
+            return self.theta(x)
+
+        def deriv(self, x):
+            return self.theta.deriv(x)
+
+        def deriv_range(self, lo, hi):
+            return self.theta.deriv_range(lo, hi)
+
+        def inverse(self, y):
+            calls.append(np.shape(y))
+            return self.theta.inverse(y)
+
+    s = random_state(rng, 2, MEAS, 3)
+    p = pullback(CountedSine(), s)
+    assert calls == [(4,)] * 3  # one call per term, on both corners of both blocks
+    inner(p, p, QuadConfig(8))
+    joint_inner(p, p, QuadConfig(8))
+    p.x_hull(), p.gamma_hull()
+    assert len(calls) == 3
 
 
 def test_pullback_unitary(rng):
