@@ -3,19 +3,22 @@
 
     python scripts/compare_bodies.py REF
 
-Checks REF out with ``git worktree`` into a temporary directory, runs
-``sigcone verify all`` at seeds 20240613, 7 and 4315207909 on that checkout
-and on the working tree (each from its own ``src/``), and compares every
+Extracts REF's files with ``git archive`` into a temporary directory, runs
+``sigcone verify all`` at seeds 20240613, 7 and 4315207909 on that copy and
+on the working tree (each from its own ``src/``), and compares every
 ``*.report.jsonl`` byte for byte; the ``.timings`` side files are not
 compared.  Prints each suite and seed whose body differs, exits 1 on any
-difference and 0 otherwise, and removes the worktree.
+difference and 0 otherwise.  Nothing under ``.git`` is written; a REF that
+git cannot archive exits 2 with one error line.
 """
 
 from __future__ import annotations
 
+import io
 import os
 import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
@@ -46,23 +49,25 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory(prefix="compare-bodies-") as tmp:
         tmp = Path(tmp)
         ref_tree = tmp / "ref"
-        subprocess.run(["git", "worktree", "add", "--detach", str(ref_tree), argv[0]], cwd=ROOT, check=True,
-                       stdout=subprocess.DEVNULL)
-        try:
-            differing = 0
-            for seed in SEEDS:
-                runs = {name: _verify_all(tree, seed, tmp / f"{name}-{seed}")
-                        for name, tree in (("ref", ref_tree), ("new", ROOT))}
-                for name, proc in runs.items():
-                    _, err = proc.communicate()
-                    # exit status 1 means a suite verdict failed; the bodies still compare
-                    if proc.returncode not in (0, 1):
-                        raise SystemExit(f"verify all on the {name} tree failed at seed {seed}:\n{err}")
-                for suite in _differences(tmp / f"ref-{seed}", tmp / f"new-{seed}"):
-                    print(f"DIFF {suite} at seed {seed}")
-                    differing += 1
-        finally:
-            subprocess.run(["git", "worktree", "remove", "--force", str(ref_tree)], cwd=ROOT, check=True)
+        archive = subprocess.run(["git", "archive", argv[0]], cwd=ROOT, capture_output=True)
+        if archive.returncode != 0:
+            reason = archive.stderr.decode(errors="replace").strip().splitlines() or ["git archive failed"]
+            print(f"compare_bodies: cannot archive {argv[0]!r}: {reason[-1]}", file=sys.stderr)
+            return 2
+        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+            tar.extractall(ref_tree, filter="data")
+        differing = 0
+        for seed in SEEDS:
+            runs = {name: _verify_all(tree, seed, tmp / f"{name}-{seed}")
+                    for name, tree in (("ref", ref_tree), ("new", ROOT))}
+            for name, proc in runs.items():
+                _, err = proc.communicate()
+                # exit status 1 means a suite verdict failed; the bodies still compare
+                if proc.returncode not in (0, 1):
+                    raise SystemExit(f"verify all on the {name} tree failed at seed {seed}:\n{err}")
+            for suite in _differences(tmp / f"ref-{seed}", tmp / f"new-{seed}"):
+                print(f"DIFF {suite} at seed {seed}")
+                differing += 1
     print(f"{differing} differing report bodies against {argv[0]}")
     return 1 if differing else 0
 

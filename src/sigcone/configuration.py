@@ -178,7 +178,8 @@ class Diffeo1D:
             return np.full_like(x, self.params[0])
         if self.tag == "soft":
             a, k = self.params
-            return 1.0 + a * k / np.cosh(k * x) ** 2
+            with np.errstate(over="ignore"):  # cosh overflows for |kx| > 710, where sech^2 is rightly 0
+                return 1.0 + a * k / np.cosh(k * x) ** 2
         (a,) = self.params
         return 1.0 + a * np.cos(x)
 
@@ -203,8 +204,9 @@ class Diffeo1D:
             # sech^2(kx) is even and decreases in |x|
             far = max(abs(lo), abs(hi))
             near = 0.0 if lo <= 0.0 <= hi else min(abs(lo), abs(hi))
-            g_hi = 1.0 / np.cosh(k * near) ** 2
-            g_lo = 1.0 / np.cosh(k * far) ** 2
+            with np.errstate(over="ignore"):
+                g_hi = 1.0 / np.cosh(k * near) ** 2
+                g_lo = 1.0 / np.cosh(k * far) ** 2
             vals = (1.0 + a * k * g_lo, 1.0 + a * k * g_hi)
             return min(vals), max(vals)
         (a,) = self.params

@@ -21,6 +21,7 @@ from .gamma import (
     SignatureSpec,
     check_support,
     invariant_dot,
+    vech_det,
 )
 from .quadrature import QuadConfig, gl_rule, grid_product, hull_box, intersect_interval, tensor_rule
 
@@ -49,14 +50,17 @@ class BumpFunction:
 
 
 def bump_values(centers: np.ndarray, widths: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Vectorized bump evaluation for per-point centers and widths."""
-    t = (u - centers) / widths
-    out = np.zeros_like(t)
+    """Vectorized bump evaluation for per-point centers and widths; t = (u - c) / w is the output."""
+    t = np.asarray(u - centers)
+    t /= widths
     inside = np.abs(t) < 1.0
+    v = t[inside]
     # values die smoothly at the edge; exp underflow to 0 is the right limit
     with np.errstate(divide="ignore", over="ignore", under="ignore"):
-        out[inside] = np.exp(-1.0 / (1.0 - t[inside] ** 2))
-    return out
+        np.exp(np.divide(-1.0, np.subtract(1.0, np.square(v, out=v), out=v), out=v), out=v)
+    t.fill(0.0)
+    t[inside] = v
+    return t
 
 
 @dataclass(frozen=True)
@@ -213,7 +217,7 @@ def _block_quad(
     # each bump factor depends on one axis: evaluate it on that axis' nodes
     nodes = [gl_rule(l, h, m)[0] for l, h in zip(lo, hi)]
     vals = np.ravel(grid_product([f1(x) * f2(x) for f1, f2, x in zip(factors1, factors2, nodes)]))
-    return float(invariant_dot(pts, wts, vals, measure))
+    return float(invariant_dot(vech_det(pts.T, measure.spec.n), wts, vals, measure))
 
 
 def fiber_inner(f1: BumpExpansion, f2: BumpExpansion, fiber: FiberSpace, quad: QuadConfig) -> complex:

@@ -221,21 +221,21 @@ def check_support(lo, hi, spec: SignatureSpec, floor: float = SUPPORT_DET_FLOOR)
             raise SupportError(f"box not certified in the ({spec.p}, {spec.p_prime}) cone at |det| >= {floor:.0e}")
 
 
-def invariant_dot(pts: np.ndarray, wts: np.ndarray, vals: np.ndarray, measure: InvariantMeasure):
-    """Rule sum of vals against the invariant density, 0.0 if vals vanish.
+def vech_det(v, n: int) -> np.ndarray:
+    """A new array of det from vech coordinates v[0], v[1], ..., with det_stack's float operations."""
+    return np.array(v[0], float) if n == 1 else v[0] * v[2] - v[1] * v[1]
 
-    |det| is taken from the vech coordinates in closed form, v0 for n = 1 and
-    v0*v2 - v1*v1 for n = 2 (the float operations of det_stack), and the
-    density only where vals is nonzero; the caller has certified the support
-    with check_support, which refuses n >= 3.
+
+def invariant_dot(det: np.ndarray, wts: np.ndarray, vals: np.ndarray, measure: InvariantMeasure):
+    """Rule sum of vals against c * |det|^(-(n+1)/2), applied in place at every node.
+
+    det and vals are overwritten.  Every weight is finite where the caller
+    certified |det| >= 1e-8 with check_support or set det to 1 where vals is 0.
     """
-    mask = vals != 0
-    if not mask.any():
-        return 0.0
-    det = pts[:, 0] if measure.spec.n == 1 else pts[:, 0] * pts[:, 2] - pts[:, 1] * pts[:, 1]
-    weight = np.zeros(len(pts))
-    weight[mask] = measure.scale_c * np.abs(det[mask]) ** (-(measure.spec.n + 1) / 2)
-    return np.dot(wts, vals * weight)
+    weight = np.abs(det, out=det)
+    weight **= -(measure.spec.n + 1) / 2
+    weight *= measure.scale_c
+    return np.dot(wts, np.multiply(vals, weight, out=vals))
 
 
 def integrate_gamma(f, measure: InvariantMeasure, quad: QuadConfig) -> complex:
@@ -244,9 +244,10 @@ def integrate_gamma(f, measure: InvariantMeasure, quad: QuadConfig) -> complex:
     f must expose integrand_pieces() yielding (lo, hi, factors) in vech
     coordinates: a piece is factors[0](v0) * factors[1](v1) * ... on its box
     and zero outside.  Each factor is evaluated on its axis' Gauss-Legendre
-    nodes, and grid_product multiplies them over the tensor grid.  The box
-    is the support contract: check_support must certify the whole box inside
-    the cone with |det| >= 1e-8, once per piece and before any node is
+    nodes, and grid_product multiplies them (and the weights) over the tensor
+    grid; no point grid is built, and the factors' arrays may be overwritten.
+    The box is the support contract: check_support must certify the whole box
+    inside the cone with |det| >= 1e-8, once per piece and before any node is
     evaluated, or SupportError is raised.
     """
     for lo, hi, _ in f.integrand_pieces():
@@ -255,9 +256,10 @@ def integrate_gamma(f, measure: InvariantMeasure, quad: QuadConfig) -> complex:
         check_support(lo, hi, measure.spec)
     m, total = quad.nodes_per_dim, 0.0 + 0.0j
     for lo, hi, factors in f.integrand_pieces():
-        pts, wts = tensor_rule(lo, hi, m)
-        axes = [fac(gl_rule(l, h, m)[0]) for fac, l, h in zip(factors, lo, hi)]
-        total += invariant_dot(pts, wts, np.ravel(grid_product(axes)), measure)
+        nodes, wts = zip(*(gl_rule(l, h, m) for l, h in zip(lo, hi)))
+        vals = np.ravel(grid_product([fac(x) for fac, x in zip(factors, nodes)]))
+        det = np.ravel(vech_det(np.ix_(*nodes), measure.spec.n))
+        total += invariant_dot(det, np.ravel(grid_product(wts)), vals, measure)
     return complex(total)
 
 
@@ -272,13 +274,13 @@ class InvarianceReport:
 def verify_invariance(f, g: GlElement, measure: InvariantMeasure, quad: QuadConfig) -> InvarianceReport:
     """Compare the integral of f with the integral of its congruence pull-back.
 
-    The pull-back side is the independent oracle: it evaluates f's factors
-    pointwise, left to right, at the congruence images of the nodes of a
-    dense rule over the bounding box of the transformed support, nodes
-    unrelated to the left-hand side's.  That support, g^T supp(f) g, has
-    |det| scaled by det(g)^2, so f certified at floor * max(1, det(g)^-2)
-    covers both sides; the bounding box may cross det = 0 and gets no
-    certificate of its own.
+    The pull-back side is the independent oracle: it multiplies f's factors
+    pointwise, left to right, into the first factor's array (which must have
+    the product's dtype), at the congruence images of the nodes of a dense
+    rule over the bounding box of the transformed support, nodes unrelated to
+    the left-hand side's.  That support, g^T supp(f) g, has |det| scaled by
+    det(g)^2, so f certified at floor * max(1, det(g)^-2) covers both sides;
+    the bounding box may cross det = 0 and gets no certificate of its own.
     """
     floor = SUPPORT_DET_FLOOR * max(1.0, float(det_stack(g.matrix)) ** -2)
     for lo, hi, _ in f.integrand_pieces():
@@ -292,10 +294,11 @@ def verify_invariance(f, g: GlElement, measure: InvariantMeasure, quad: QuadConf
         mapped = pts @ vech_map.T
         vals = factors[0](mapped[:, 0])
         for k in range(1, len(factors)):
-            # not functools.reduce, whose argument tuple keeps the last product alive
-            vals = vals * factors[k](mapped[:, k])
-        del mapped  # freed before invariant_dot allocates its weight
-        rhs += invariant_dot(pts, wts, vals, measure)
+            vals *= factors[k](mapped[:, k])
+        del mapped  # freed before det is allocated
+        det = vech_det(pts.T, measure.spec.n)
+        det[vals == 0] = 1.0
+        rhs += invariant_dot(det, wts, vals, measure)
     rhs = complex(rhs)
     rel = abs(lhs - rhs) / max(abs(lhs), 1e-300)
     return InvarianceReport(lhs=lhs, rhs=rhs, rel_err=rel, nodes=quad.nodes_per_dim)

@@ -55,14 +55,15 @@ def tensor_rule(lo: np.ndarray, hi: np.ndarray, m: int) -> tuple[np.ndarray, np.
     """Tensor-product rule over a box.
 
     Returns points of shape (m**d, d) and matching weights, enumerated in a
-    fixed row-major order.
+    fixed row-major order; the points fill one array, one axis at a time.
     """
     lo = np.atleast_1d(np.asarray(lo, dtype=float))
     hi = np.atleast_1d(np.asarray(hi, dtype=float))
     axes = [gl_rule(l, h, m) for l, h in zip(lo, hi)]
-    grids = np.meshgrid(*[a[0] for a in axes], indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
-    return pts, np.ravel(grid_product([w for _, w in axes]))
+    pts = np.empty((m,) * len(axes) + (len(axes),))
+    for k, x in enumerate(np.ix_(*[x for x, _ in axes])):
+        pts[..., k] = x
+    return pts.reshape(-1, len(axes)), np.ravel(grid_product([w for _, w in axes]))
 
 
 def grid_product(factors: Sequence[np.ndarray]) -> np.ndarray:

@@ -8,6 +8,7 @@ from sigcone.fibers import (
     FiberSpace,
     MonotoneMap,
     Weighted1D,
+    bump_values,
     fiber_inner,
     fiber_norm,
     normalized,
@@ -19,6 +20,39 @@ from sigcone.quadrature import QuadConfig, quad_1d
 
 QUAD = QuadConfig(48)
 MEAS = InvariantMeasure(SignatureSpec(1, 0), 1.0)
+
+
+def where_bump(centers, widths, u):
+    """The bump evaluated everywhere and kept where |t| < 1."""
+    t = (u - centers) / widths
+    with np.errstate(divide="ignore", over="ignore", under="ignore"):
+        return np.where(np.abs(t) < 1.0, np.exp(-1.0 / (1.0 - t**2)), 0.0)
+
+
+def test_bump_values_equal_the_where_formula_bit_for_bit():
+    rng = np.random.default_rng(5)
+    edge = np.array([1.0, -1.0])
+    special = np.concatenate([
+        np.nextafter(edge, 0.0), edge, np.nextafter(edge, 2 * edge),  # |t| = 1 - ulp, 1, 1 + ulp
+        np.linspace(0.9990, 0.9996, 401),  # exp(-1/(1-t^2)) underflows to subnormals, then 0
+        rng.uniform(-1.5, 1.5, 400),
+    ])
+    with np.errstate(under="ignore"):
+        assert np.any(where_bump(0.0, 1.0, special[6:407]) == 0.0)
+    n = 2000
+    cases = [
+        (0.0, 1.0, special),
+        (0.3, 0.7, rng.uniform(-1.0, 1.5, n)),
+        (rng.uniform(-1.0, 1.0, n), rng.uniform(0.1, 2.0, n), rng.uniform(-3.0, 3.0, n)),
+        (rng.uniform(-1.0, 1.0, (9, 1)), rng.uniform(0.1, 2.0, (9, 1)), rng.uniform(-3.0, 3.0, (1, 50))),
+    ]
+    for centers, widths, u in cases:
+        u.setflags(write=False)  # the caller's points are never written
+        before = u.copy()
+        got = bump_values(centers, widths, u)
+        want = where_bump(centers, widths, u)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert np.array_equal(u, before)
 
 
 def test_bump_function_shape():

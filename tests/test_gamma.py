@@ -13,6 +13,7 @@ from sigcone.gamma import (
     SignatureSpec,
     SupportError,
     SymMatrix,
+    check_support,
     congruence_vech_matrix,
     integrate_gamma,
     invariant_dot,
@@ -20,12 +21,14 @@ from sigcone.gamma import (
     random_gl,
     signature,
     sym_to_vech,
+    vech_det,
     vech_to_sym,
     verify_invariance,
 )
+from sigcone import gamma
 from sigcone.fibers import product_bump
 from sigcone.harness import random_cone_expansion
-from sigcone.quadrature import QuadConfig, tensor_rule
+from sigcone.quadrature import QuadConfig, box_corners, gl_rule, tensor_rule
 
 
 class Boxed:
@@ -200,8 +203,73 @@ def test_integrate_gamma_per_axis_equals_pointwise_rule_sum(sig, n_terms):
         want = 0.0 + 0.0j
         for t in f.terms:
             pts, wts = tensor_rule(*t.box(), m)
-            want += invariant_dot(pts, wts, t(pts), meas)
+            want += invariant_dot(vech_det(pts.T, spec.n), wts, t(pts), meas)
         assert integrate_gamma(f, meas, QuadConfig(m)) == complex(want)
+
+
+@pytest.mark.parametrize("sig", [(1, 0), (0, 1), (2, 0), (1, 1)])
+def test_vech_det_on_per_axis_nodes_equals_its_value_at_the_rule_points(sig):
+    spec = SignatureSpec(*sig)
+    rng = np.random.default_rng(7 * sig[0] + sig[1])
+    lo = rng.uniform(-2.0, 1.0, spec.dim)
+    hi = lo + rng.uniform(0.1, 2.0, spec.dim)
+    for m in (2, 5, 16):
+        nodes = [gl_rule(l, h, m)[0] for l, h in zip(lo, hi)]
+        pts, _ = tensor_rule(lo, hi, m)
+        got = np.ravel(vech_det(np.ix_(*nodes), spec.n))
+        want = vech_det(pts.T, spec.n)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("sig", [(1, 0), (0, 1), (2, 0), (1, 1)])
+def test_integrate_gamma_builds_no_point_grid(sig, monkeypatch):
+    spec = SignatureSpec(*sig)
+    meas = InvariantMeasure(spec, 1.7)
+    f = random_cone_expansion(spec, np.random.default_rng(sum(sig) + 10 * sig[0]), 2)
+    want = integrate_gamma(f, meas, QuadConfig(24))
+
+    def refuse(*args):
+        raise AssertionError("integrate_gamma called tensor_rule")
+
+    monkeypatch.setattr(gamma, "tensor_rule", refuse)
+    assert integrate_gamma(f, meas, QuadConfig(24)) == want
+
+
+def masked_oracle_rhs(f, g, meas, m):
+    """The congruence side of verify_invariance as a rule sum that weights
+    only the nodes where the integrand is nonzero."""
+    vech_map = congruence_vech_matrix(g.inverse, meas.spec.n)
+    rhs = 0.0 + 0.0j
+    for lo, hi, factors in f.integrand_pieces():
+        img = box_corners(lo, hi) @ np.linalg.inv(vech_map).T
+        pts, wts = tensor_rule(img.min(axis=0), img.max(axis=0), m)
+        mapped = pts @ vech_map.T
+        vals = factors[0](mapped[:, 0])
+        for k in range(1, len(factors)):
+            vals = vals * factors[k](mapped[:, k])
+        mask = vals != 0
+        det = pts[:, 0] * pts[:, 2] - pts[:, 1] * pts[:, 1]
+        weight = np.zeros(len(pts))
+        weight[mask] = meas.scale_c * np.abs(det[mask]) ** -1.5
+        rhs += np.dot(wts, vals * weight)
+    return complex(rhs)
+
+
+@pytest.mark.parametrize("sig, centers, widths, g", [
+    ((2, 0), [1.0, 0.0, 1.0], [0.35, 0.3, 0.35], [[2.0, 1.0], [0.0, 1.0]]),
+    ((1, 1), [1.0, 0.0, -1.0], [0.3, 0.3, 0.3], [[1.0, 0.9], [0.2, 1.0]]),
+])
+def test_oracle_density_on_a_box_crossing_det_zero_equals_the_masked_sum(sig, centers, widths, g):
+    meas = InvariantMeasure(SignatureSpec(*sig), 1.3)
+    f = product_bump(0.7 - 0.4j, centers, widths)
+    g = GlElement(g)
+    (lo, hi, _), = f.integrand_pieces()
+    check_support(lo, hi, meas.spec)
+    img = box_corners(lo, hi) @ np.linalg.inv(congruence_vech_matrix(g.inverse, 2)).T
+    pts, _ = tensor_rule(img.min(axis=0), img.max(axis=0), 32)
+    det = vech_det(pts.T, 2)
+    assert det.min() < 0.0 < det.max()  # the oracle's bounding box leaves the cone
+    assert verify_invariance(f, g, meas, QuadConfig(32)).rhs == masked_oracle_rhs(f, g, meas, 32)
 
 
 def test_verify_invariance_identity_is_exact():

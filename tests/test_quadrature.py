@@ -6,6 +6,7 @@ from sigcone.quadrature import (
     QuadConfig,
     box_corners,
     gl_rule,
+    grid_product,
     hull_box,
     intersect_box,
     intersect_interval,
@@ -56,6 +57,23 @@ def test_tensor_rule_factorizes():
     pts, wts = tensor_rule(lo, hi, 5)
     assert pts.shape == (125, 3) and wts.shape == (125,)
     assert abs(wts.sum() - 1 * 1 * 2) < 1e-12
+
+
+def meshgrid_rule(lo, hi, m):
+    """The tensor rule with its points built by meshgrid and stack."""
+    axes = [gl_rule(l, h, m) for l, h in zip(lo, hi)]
+    grids = np.meshgrid(*[x for x, _ in axes], indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=-1), np.ravel(grid_product([w for _, w in axes]))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("m", [2, 5, 16])
+def test_tensor_rule_equals_the_meshgrid_rule(d, m):
+    rng = np.random.default_rng(10 * d + m)
+    lo = rng.uniform(-3.0, 1.0, d)
+    hi = lo + rng.uniform(0.1, 3.0, d)
+    for got, want in zip(tensor_rule(lo, hi, m), meshgrid_rule(lo, hi, m)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_box_helpers():

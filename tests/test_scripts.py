@@ -26,7 +26,18 @@ def test_script_runs(name, args, tmp_path):
 
 
 def test_compare_bodies_without_a_revision_prints_its_usage(tmp_path):
-    # refused before any git worktree is made
+    # refused before git is run
     proc = run_script("compare_bodies.py", cwd=tmp_path)
     assert proc.returncode == 2
     assert "python scripts/compare_bodies.py REF" in proc.stderr
+
+
+def test_compare_bodies_refuses_a_bad_revision_and_leaves_git_alone(tmp_path):
+    def worktrees():
+        return subprocess.run(["git", "worktree", "list", "--porcelain"], cwd=ROOT, capture_output=True, text=True).stdout
+
+    before = worktrees()
+    proc = run_script("compare_bodies.py", "no-such-revision", cwd=tmp_path)
+    assert proc.returncode == 2
+    assert len(proc.stderr.splitlines()) == 1 and "no-such-revision" in proc.stderr
+    assert worktrees() == before
