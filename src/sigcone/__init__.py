@@ -33,7 +33,6 @@ from .configuration import (
     sorted_chart,
 )
 from .hspace import (
-    GradedState,
     HalfDensityState,
     counterexample_profile,
     fit_divergence,

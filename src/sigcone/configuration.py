@@ -252,11 +252,7 @@ def _monotone_inverse(theta, y: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ComposedDiffeo:
-    """outer after inner; inherits values, derivatives and inverses.
-
-    Values and inverses need only callables with an ``inverse``, such as
-    chart coordinate maps; derivatives need two diffeomorphisms.
-    """
+    """outer after inner; inherits values, derivatives and inverses."""
 
     outer: "Diffeo1D | ComposedDiffeo"
     inner: "Diffeo1D | ComposedDiffeo"
@@ -294,26 +290,6 @@ def sine(a: float) -> Diffeo1D:
     return Diffeo1D("sine", (a,))
 
 
-class _InverseDiffeo:
-    """View of the inverse of a catalog diffeomorphism."""
-
-    def __init__(self, theta) -> None:
-        self._theta = theta
-
-    def __call__(self, x):
-        return self._theta.inverse(x)
-
-    def deriv(self, x):
-        return 1.0 / self._theta.deriv(self._theta.inverse(x))
-
-    def inverse(self, y):
-        return self._theta(y)
-
-
-def inverse_diffeo(theta) -> _InverseDiffeo:
-    return _InverseDiffeo(theta)
-
-
 def induced_diffeo(theta: Callable, y: PointSet) -> PointSet:
     """Apply a 1-D diffeomorphism point by point and re-canonicalize."""
     if y.d != 1:
@@ -326,16 +302,17 @@ def induced_diffeo(theta: Callable, y: PointSet) -> PointSet:
 
 @dataclass(frozen=True)
 class Chart:
-    """Disjoint open boxes, one per point, with an optional coordinate map.
+    """Disjoint open boxes, one per point, possibly moved by a diffeomorphism.
 
     The chart map sends a subset with exactly one point in every box to the
     concatenation of its points' coordinates, in the chart's own box order,
-    with ``coords`` (a 1-D map, None for the identity) applied to each.
+    with ``moved.inverse`` applied to each: ``moved`` is the 1-D map the chart
+    was transported by, None for a chart that was never moved.
     """
 
     lo: tuple[tuple[float, ...], ...]
     hi: tuple[tuple[float, ...], ...]
-    coords: object = None
+    moved: "Diffeo1D | ComposedDiffeo | None" = None
 
     def __post_init__(self) -> None:
         lo = np.asarray(self.lo, float)
@@ -374,12 +351,12 @@ class Chart:
     def chart_map(self, y: PointSet) -> np.ndarray:
         """Coordinates of a subset in the chart's domain."""
         flat = np.array(self._locate(y), float).ravel()
-        return flat if self.coords is None else np.asarray(self.coords(flat), float)
+        return flat if self.moved is None else np.asarray(self.moved.inverse(flat), float)
 
     def inverse_map(self, coords: np.ndarray) -> PointSet:
         flat = np.asarray(coords, float).reshape(self.n * self.d)
-        if self.coords is not None:
-            flat = np.asarray(self.coords.inverse(flat), float)
+        if self.moved is not None:
+            flat = np.asarray(self.moved(flat), float)
         pts = []
         for p, lo, hi in zip(flat.reshape(self.n, self.d).tolist(), self.lo, self.hi):
             if not all(a < x < b for a, x, b in zip(lo, p, hi)):
@@ -391,23 +368,22 @@ class Chart:
         order = tuple(order)
         if sorted(order) != list(range(self.n)):
             raise ValueError("not a permutation of the boxes")
-        return Chart(tuple(self.lo[i] for i in order), tuple(self.hi[i] for i in order), self.coords)
+        return Chart(tuple(self.lo[i] for i in order), tuple(self.hi[i] for i in order), self.moved)
 
     def transported(self, theta) -> "Chart":
         """The image chart under an increasing 1-D diffeomorphism.
 
-        Boxes map forward; the coordinate map composes with the inverse, so
-        the transported chart assigns the original coordinates to moved
-        points.
+        Boxes map forward and ``theta`` composes onto ``moved``, whose inverse
+        the chart map applies, so the transported chart assigns the original
+        coordinates to moved points.
         """
         if self.d != 1:
             raise ValueError("chart transport is implemented over the line")
         corners = np.asarray(theta(np.array([self.lo, self.hi], float).ravel()), float).tolist()
-        inv = inverse_diffeo(theta)
         return Chart(
             tuple([(v,) for v in corners[: self.n]]),
             tuple([(v,) for v in corners[self.n:]]),
-            inv if self.coords is None else ComposedDiffeo(self.coords, inv),
+            theta if self.moved is None else ComposedDiffeo(theta, self.moved),
         )
 
 
@@ -455,7 +431,7 @@ def block_pullback_vs_per_point(theta, y: PointSet, gammas: Sequence[float]):
     """
     if y.d != 1:
         raise ValueError("implemented over the line")
-    y_pre = induced_diffeo(inverse_diffeo(theta), y)
+    y_pre = induced_diffeo(theta.inverse, y)
     x_pre = np.asarray(y_pre.values)
 
     def expr(coords: np.ndarray) -> np.ndarray:

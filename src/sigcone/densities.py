@@ -58,15 +58,9 @@ class AlphaDensity:
         return isinstance(self.ref_value, BumpExpansion)
 
 
-def _scale_value(value: DensityValue, factor: complex) -> DensityValue:
-    if isinstance(value, BumpExpansion):
-        return value.scaled(factor)
-    return factor * value
-
-
 def evaluate(w: AlphaDensity, e: Basis) -> DensityValue:
     """Value of the density at basis e: |det e|^alpha times the stored value."""
-    return _scale_value(w.ref_value, abs(e.det()) ** w.alpha)
+    return abs(e.det()) ** w.alpha * w.ref_value
 
 
 def lin_comb(z1: complex, w1: AlphaDensity, z2: complex, w2: AlphaDensity) -> AlphaDensity:
@@ -76,11 +70,7 @@ def lin_comb(z1: complex, w1: AlphaDensity, z2: complex, w2: AlphaDensity) -> Al
         raise ValueError("cannot combine densities over different fibers")
     if w1.is_fiber_valued() != w2.is_fiber_valued():
         raise ValueError("cannot combine scalar-valued with fiber-valued densities")
-    if w1.is_fiber_valued():
-        value: DensityValue = w1.ref_value.scaled(z1) + w2.ref_value.scaled(z2)
-    else:
-        value = z1 * w1.ref_value + z2 * w2.ref_value
-    return AlphaDensity(w1.alpha, value, w1.fiber)
+    return AlphaDensity(w1.alpha, z1 * w1.ref_value + z2 * w2.ref_value, w1.fiber)
 
 
 def density_product(w1: AlphaDensity, w2: AlphaDensity, quad: QuadConfig) -> AlphaDensity:

@@ -20,6 +20,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from . import configuration as cfg
+from . import densities as dens
 from . import fibers, gamma, hspace, kspace
 from .quadrature import QuadConfig, quad_1d
 
@@ -57,6 +58,8 @@ class SuiteConfig:
             raise ValueError("suites need at least 8 nodes per dimension")
         if not 1 <= self.n_max <= 4:
             raise ValueError("n_max must lie in 1..4")
+        if not self.diffeo_catalog:
+            raise ValueError("the diffeomorphism catalog needs at least one map")
         if gamma.SignatureSpec(*self.signature).n != 1:
             raise ValueError("signature must be (1, 0) or (0, 1): suites build over one base dimension")
 
@@ -93,7 +96,7 @@ class SuiteConfig:
         if "diffeo_catalog" in d:
             d["diffeo_catalog"] = tuple(
                 cfg.Diffeo1D(t["tag"], tuple(float(p) for p in t["params"])) for t in d["diffeo_catalog"]
-            ) or DEFAULT_CATALOG
+            )
         return cls(**d)
 
 
@@ -236,9 +239,10 @@ def random_state(
     return hspace.HalfDensityState(n_blocks, measure, tuple(terms))
 
 
-def random_point_set(rng: np.random.Generator, n: int, spread: float = 3.0) -> cfg.PointSet:
+def random_point_set(rng: np.random.Generator, n: int) -> cfg.PointSet:
+    """n seeded points in [-3, 3], pairwise more than 0.3 apart."""
     while True:
-        pts = np.sort(rng.uniform(-spread, spread, size=n))[::-1]
+        pts = np.sort(rng.uniform(-3.0, 3.0, size=n))[::-1]
         if n == 1 or np.min(pts[:-1] - pts[1:]) > 0.3:
             return cfg.PointSet(tuple((float(p),) for p in pts))
 
@@ -331,8 +335,6 @@ def _suite_pushforward_product(config: SuiteConfig, out: _Rows) -> None:
 
 
 def _suite_density_axioms(config: SuiteConfig, out: _Rows) -> None:
-    from . import densities as dens
-
     quad = config.quad()
     for i, label, rng in out.cases("dens"):
         spec = gamma.SignatureSpec(1, 0) if i % 3 else gamma.SignatureSpec(2, 0)
@@ -588,10 +590,10 @@ def _suite_graded_orthogonality(config: SuiteConfig, out: _Rows) -> None:
         measure = gamma.InvariantMeasure(spec, 1.0)
         s1 = random_state(rng, 1, measure, n_terms=1)
         s2 = random_state(rng, 2, measure, n_terms=1)
-        g1 = hspace.GradedState.of(s1)
-        cross = hspace.graded_inner(g1, hspace.GradedState.of(s2), quad)
+        g1 = {1: s1}
+        cross = hspace.graded_inner(g1, {2: s2}, quad)
         out.add(label + "-hcross", cross, 0.0, abs(cross), cross == 0.0)
-        both = hspace.GradedState.of(s1, s2)
+        both = {1: s1, 2: s2}
         tot = hspace.graded_inner(both, both, quad).real
         parts = hspace.inner(s1, s1, quad).real + hspace.inner(s2, s2, quad).real
         rel = _rel(tot, parts)
@@ -810,10 +812,10 @@ def convergence_study(op_id: str, node_ladder: Sequence[int], config: SuiteConfi
     return [StudyRow(op_id, n, _study_case(op_id, config, n)) for n in node_ladder]
 
 
-def study_decays(rows: Sequence[StudyRow], floor: float = 1e-12) -> bool:
-    """Monotone-on-average decay: last rung beats the first, or all at the floor."""
+def study_decays(rows: Sequence[StudyRow]) -> bool:
+    """Monotone-on-average decay: last rung beats the first, or all below 1e-12."""
     errs = [r.rel_err for r in rows]
-    return errs[-1] < errs[0] or all(e < floor for e in errs)
+    return errs[-1] < errs[0] or all(e < 1e-12 for e in errs)
 
 
 def output_dir() -> Path:

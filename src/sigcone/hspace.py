@@ -24,7 +24,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property, partial, reduce
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from .fibers import BumpExpansion, BumpFunction, BumpTerm, bump_values
 from .gamma import InvariantMeasure, SignatureSpec, check_support
 from .quadrature import QuadConfig, gl_rule, grid_product, hull_box, intersect_box, intersect_interval, tensor_rule
 
-_CHUNK_BUDGET = 2_000_000  # fixes the chunks, and so the summation order, of inner's x dot
+_CHUNK_BUDGET = 2_000_000  # bounds the points PairedDensity.integrate evaluates at once
 
 # joins for BumpStateTerm.axes: the product at shared points (grid_product
 # gives it over a tensor grid; np.stack keeps the blocks apart for joint_inner)
@@ -151,16 +151,6 @@ class HalfDensityState:
             check_support(*t.gamma_box, self.measure.spec)
 
     # construction ------------------------------------------------------------
-
-    @classmethod
-    def separable(
-        cls,
-        coeff: complex,
-        x_bumps: Sequence[BumpFunction],
-        g_bumps: Sequence[BumpFunction],
-        measure: InvariantMeasure,
-    ) -> "HalfDensityState":
-        return cls(len(x_bumps), measure, (BumpStateTerm(complex(coeff), tuple(x_bumps), tuple(g_bumps)),))
 
     @classmethod
     def from_expansion(cls, rep: BumpExpansion, n_blocks: int, measure: InvariantMeasure) -> "HalfDensityState":
@@ -344,11 +334,7 @@ def inner(s1: HalfDensityState, s2: HalfDensityState, quad: QuadConfig) -> compl
                 continue
             _, wts = tensor_rule(box[0], box[1], m)
             nodes = [gl_rule(lo, hi, m)[0] for lo, hi in zip(*box)]
-            vals = np.ravel(_pair_gamma_integrals(t1, t2, nodes, grid_product, s1.measure, m))
-            chunk = max(1, _CHUNK_BUDGET // m)
-            for start in range(0, len(wts), chunk):
-                sl = slice(start, start + chunk)
-                total += np.dot(wts[sl], vals[sl])
+            total += np.dot(wts, np.ravel(_pair_gamma_integrals(t1, t2, nodes, grid_product, s1.measure, m)))
     return complex(total)
 
 
@@ -414,38 +400,15 @@ def rescale_iso(s: HalfDensityState, c_old: float, c_new: float) -> HalfDensityS
 # -- graded states ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GradedState:
-    """A finite collection of states of distinct block counts."""
-
-    components: tuple[tuple[int, HalfDensityState], ...]
-
-    def __post_init__(self) -> None:
-        ns = [n for n, _ in self.components]
-        if len(set(ns)) != len(ns):
-            raise ValueError("duplicate block counts")
-        for n, s in self.components:
-            if s.n_blocks != n:
-                raise ValueError("component filed under the wrong block count")
-        object.__setattr__(self, "components", tuple(sorted(self.components)))
-
-    @classmethod
-    def of(cls, *states: HalfDensityState) -> "GradedState":
-        return cls(tuple((s.n_blocks, s) for s in states))
-
-    def component(self, n: int) -> HalfDensityState | None:
-        for k, s in self.components:
-            if k == n:
-                return s
-        return None
-
-
-def graded_inner(g1: GradedState, g2: GradedState, quad: QuadConfig) -> complex:
+def graded_inner(
+    g1: Mapping[int, HalfDensityState], g2: Mapping[int, HalfDensityState], quad: QuadConfig
+) -> complex:
+    """<g1|g2> of graded sums {N: state}: states of different N are orthogonal."""
+    if any(s.n_blocks != n for g in (g1, g2) for n, s in g.items()):
+        raise ValueError("a state is filed under the wrong block count")
     total = 0.0 + 0.0j
-    for n, s1 in g1.components:
-        s2 = g2.component(n)
-        if s2 is not None:
-            total += inner(s1, s2, quad)
+    for n in sorted(g1.keys() & g2.keys()):
+        total += inner(g1[n], g2[n], quad)
     return complex(total)
 
 

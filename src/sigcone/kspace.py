@@ -16,7 +16,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .configuration import PointSet, induced_diffeo, inverse_diffeo
+from .configuration import PointSet, induced_diffeo
 from .fibers import (
     BumpExpansion,
     BumpFunction,
@@ -25,8 +25,10 @@ from .fibers import (
     fiber_inner,
     product_bump,
 )
-from .gamma import InvariantMeasure, check_support
+from .gamma import InvariantMeasure, SignatureSpec, check_support
 from .quadrature import QuadConfig
+
+BASIS_FAMILY_SIZE = 4
 
 
 @dataclass(frozen=True)
@@ -94,8 +96,6 @@ class SparseSection:
 
     @classmethod
     def loads(cls, text: str) -> "SparseSection":
-        from .gamma import SignatureSpec
-
         d = json.loads(text)
         measure = InvariantMeasure(SignatureSpec(*d["signature"]), float(d["scale_c"]))
         entries = []
@@ -140,10 +140,9 @@ def k_pullback(theta, s: SparseSection) -> SparseSection:
     at a new point is the old value with every gamma coordinate divided by
     theta'(new point)^2, which for bump fibers is again a bump fiber.
     """
-    inv = inverse_diffeo(theta)
     new_entries = []
     for y, fib in s.entries:
-        y_new = induced_diffeo(inv, y)
+        y_new = induced_diffeo(theta.inverse, y)
         scales = np.asarray(theta.deriv(np.asarray(y_new.values))) ** 2
         terms = []
         for t in fib.terms:
@@ -178,16 +177,11 @@ def orthonormal_family(fiber: FiberSpace, size: int, quad: QuadConfig) -> list[B
     return out
 
 
-def basis_element(
-    y: PointSet,
-    index: int,
-    measure: InvariantMeasure,
-    quad: QuadConfig,
-    family_size: int = 4,
-) -> SparseSection:
-    """The section supported at y whose value is the index-th orthonormal fiber element."""
+def basis_element(y: PointSet, index: int, measure: InvariantMeasure, quad: QuadConfig) -> SparseSection:
+    """The section supported at y whose value is the index-th orthonormal fiber element
+    of a family of BASIS_FAMILY_SIZE."""
     fiber = FiberSpace(measure, y.n)
-    family = orthonormal_family(fiber, family_size, quad)
+    family = orthonormal_family(fiber, BASIS_FAMILY_SIZE, quad)
     if not 0 <= index < len(family):
         raise IndexError("fiber basis index outside the constructed family")
     return SparseSection(y.n, measure, ((y, family[index]),))
@@ -199,9 +193,10 @@ def basis_element(
 def graded_k_inner(
     g1: Mapping[int, SparseSection], g2: Mapping[int, SparseSection], quad: QuadConfig
 ) -> complex:
+    """<g1|g2> of graded sums {N: section}: sections of different N are orthogonal."""
+    if any(s.n_blocks != n for g in (g1, g2) for n, s in g.items()):
+        raise ValueError("a section is filed under the wrong block count")
     total = 0.0 + 0.0j
-    for n, s1 in g1.items():
-        s2 = g2.get(n)
-        if s2 is not None:
-            total += k_inner(s1, s2, quad)
+    for n in sorted(g1.keys() & g2.keys()):
+        total += k_inner(g1[n], g2[n], quad)
     return complex(total)

@@ -44,6 +44,17 @@ def test_lin_comb():
         lin_comb(1.0, w, 1.0, AlphaDensity(0.5, 1.0))
 
 
+def test_fiber_values_scale_like_scaled():
+    w1, w2 = half_density(0.8), half_density(0.3 - 0.7j, 2.3, 0.6)
+    e = Basis.from_array(np.diag([2.0, 1.5]))
+    z1, z2 = 1.2 - 0.3j, np.complex128(-0.4 + 0.9j)
+    got = evaluate(w1, e).terms
+    assert [t.coeff for t in got] == [t.coeff for t in w1.ref_value.scaled(abs(e.det()) ** 0.5).terms]
+    got = lin_comb(z1, w1, z2, w2).ref_value.terms
+    want = (w1.ref_value.scaled(z1) + w2.ref_value.scaled(z2)).terms
+    assert [t.coeff for t in got] == [t.coeff for t in want]
+
+
 def test_scaling_commutes_with_evaluate(rng):
     w = AlphaDensity(0.5, 1.3 - 0.4j)
     for _ in range(20):

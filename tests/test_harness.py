@@ -28,6 +28,9 @@ def test_config_roundtrip_and_validation():
     for n_max in (0, -1, 7):  # 0 divided by zero in unitarity, -1 ran rescaling at N=1
         with pytest.raises(ValueError):
             SuiteConfig(n_max=n_max)
+    # an empty catalog divided by zero in representation-law and chart-atlas
+    with pytest.raises(ValueError, match="catalog"):
+        SuiteConfig(diffeo_catalog=())
     # suites build over one base dimension; (2, 0) stopped `verify all` in pairing-continuity
     for sig in ((2, 0), (1, 1), (0, 0)):
         with pytest.raises(ValueError):
@@ -50,7 +53,6 @@ def test_config_loads_refuses_unknown_keys_and_defaults_missing_ones():
         SuiteConfig.loads(json.dumps({"node_per_dim": 16, "trails": 2}))
     assert SuiteConfig.loads("{}") == SuiteConfig()
     assert SuiteConfig.loads(json.dumps({"trials": 2})) == SuiteConfig(trials=2)
-    assert SuiteConfig.loads(json.dumps({"diffeo_catalog": []})) == SuiteConfig()
 
 
 @pytest.mark.parametrize("text", [
@@ -66,6 +68,7 @@ def test_config_loads_refuses_unknown_keys_and_defaults_missing_ones():
     '{"diffeo_catalog": [{"tag": "sine", "params": [0.45], "note": 1}]}',
     '{"diffeo_catalog": [{"tag": "sine", "params": [null]}]}',
     '{"diffeo_catalog": {"tag": "sine", "params": [0.45]}}',
+    '{"diffeo_catalog": []}',  # used to run the default catalog
     '{"output_path": 3}',
     '[1, 0]',
     'not json',
@@ -89,6 +92,7 @@ def test_config_loads_accepts_integer_catalog_params():
     (["verify", "rescaling"], "<missing file>"),
     (["study", "unitarity", "--ladder", "16,8"], None),
     (["study", "unitarity", "--ladder", "a"], None),
+    (["verify", "rescaling"], '{"diffeo_catalog": []}'),  # used to run the default catalog
 ])
 def test_refused_cli_input_is_a_usage_error(argv, config, tmp_path, capsys):
     # each of these used to end in a Python traceback

@@ -8,10 +8,8 @@ from sigcone.configuration import ComposedDiffeo, affine, identity, sine, soft
 from sigcone.fibers import BumpFunction
 from sigcone.gamma import InvariantMeasure, SignatureSpec
 from sigcone.harness import random_state
-from sigcone import hspace
 from sigcone.hspace import (
     BumpStateTerm,
-    GradedState,
     HalfDensityState,
     counterexample_profile,
     fit_divergence,
@@ -30,9 +28,8 @@ QUAD = QuadConfig(48)
 
 
 def simple_state(coeff=1.0, xc=0.0, xw=0.6, gc=2.0, gw=0.7, measure=MEAS):
-    return HalfDensityState.separable(
-        coeff, [BumpFunction(xc, xw)], [BumpFunction(gc, gw)], measure
-    )
+    term = BumpStateTerm(complex(coeff), (BumpFunction(xc, xw),), (BumpFunction(gc, gw),))
+    return HalfDensityState(1, measure, (term,))
 
 
 def test_state_validation():
@@ -47,13 +44,12 @@ def test_state_validation():
     simple_state(gc=0.5 + 2e-8, gw=0.5)  # hull starts 2e-8 from zero
     simple_state(gc=-0.5 - 2e-8, gw=0.5, measure=neg)
     with pytest.raises(ValueError):  # x boxes must be strictly ordered for N=2
-        HalfDensityState.separable(
-            1.0, [BumpFunction(0.0, 0.6), BumpFunction(0.5, 0.6)],
-            [BumpFunction(2.0, 0.5), BumpFunction(2.0, 0.5)], MEAS,
-        )
+        HalfDensityState(2, MEAS, (BumpStateTerm(
+            1.0, (BumpFunction(0.0, 0.6), BumpFunction(0.5, 0.6)),
+            (BumpFunction(2.0, 0.5), BumpFunction(2.0, 0.5)),
+        ),))
     with pytest.raises(ValueError):  # base dimension is one
-        HalfDensityState.separable(1.0, [BumpFunction(0, 1)], [BumpFunction(2, 0.5)],
-                                   InvariantMeasure(SignatureSpec(2, 0), 1.0))
+        simple_state(measure=InvariantMeasure(SignatureSpec(2, 0), 1.0))
 
 
 def test_inner_separable_fubini_oracle():
@@ -123,10 +119,10 @@ def test_pair_to_density_zero_cases():
 
 def test_pair_density_mismatch_errors():
     s1 = simple_state()
-    s2 = HalfDensityState.separable(
-        1.0, [BumpFunction(2.0, 0.4), BumpFunction(0.0, 0.4)],
-        [BumpFunction(2.0, 0.5), BumpFunction(2.0, 0.5)], MEAS,
-    )
+    s2 = HalfDensityState(2, MEAS, (BumpStateTerm(
+        1.0, (BumpFunction(2.0, 0.4), BumpFunction(0.0, 0.4)),
+        (BumpFunction(2.0, 0.5), BumpFunction(2.0, 0.5)),
+    ),))
     with pytest.raises(ValueError):
         pair_to_density(s1, s2, QUAD)
     other = simple_state(measure=InvariantMeasure(SignatureSpec(1, 0), 3.0))
@@ -177,11 +173,7 @@ def test_inner_grid_path_equals_point_path_bit_for_bit(rng, n_blocks, pull):
     s1, s2 = (PULLS[pull](s) for s in overlapping_pair(rng, n_blocks, 1))
     density = pair_to_density(s1, s2, q)
     pts, wts = tensor_rule(*density.support_box(), q.nodes_per_dim)
-    vals = density(pts)
-    chunk = max(1, hspace._CHUNK_BUDGET // q.nodes_per_dim)
-    total = 0.0 + 0.0j
-    for start in range(0, len(pts), chunk):
-        total += np.dot(wts[start : start + chunk], vals[start : start + chunk])
+    total = np.dot(wts, density(pts))
     assert total != 0
     assert inner(s1, s2, q) == complex(total)
 
@@ -340,15 +332,13 @@ def test_rescale_examples(rng):
 def test_graded_states(rng):
     s1 = random_state(rng, 1, MEAS, 1)
     s2 = random_state(rng, 2, MEAS, 1)
-    g1 = GradedState.of(s1)
-    g2 = GradedState.of(s2)
-    assert graded_inner(g1, g2, QUAD) == 0
-    both = GradedState.of(s1, s2)
-    assert graded_inner(both, g1, QUAD) == inner(s1, s1, QUAD)
+    assert graded_inner({1: s1}, {2: s2}, QUAD) == 0
+    both = {2: s2, 1: s1}
+    assert graded_inner(both, {1: s1}, QUAD) == inner(s1, s1, QUAD)
     tot = graded_inner(both, both, QUAD).real
     assert abs(tot - inner(s1, s1, QUAD).real - inner(s2, s2, QUAD).real) < 1e-12 * tot
-    with pytest.raises(ValueError):
-        GradedState(((1, s2),))
+    with pytest.raises(ValueError, match="wrong block count"):
+        graded_inner({1: s2}, {2: s2}, QUAD)
 
 
 def test_counterexample_profile_against_closed_form():

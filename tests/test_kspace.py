@@ -142,7 +142,7 @@ def test_orthonormal_family_and_basis_elements():
     assert abs(k_norm(e1, QUAD) - 1.0) < 1e-9
     assert k_inner(e1, basis_element(y2, 0, MEAS, QUAD), QUAD) == 0
     with pytest.raises(IndexError):
-        basis_element(y, 9, MEAS, QUAD, family_size=2)
+        basis_element(y, 9, MEAS, QUAD)
 
 
 def test_orthonormal_family_two_blocks():
@@ -160,6 +160,9 @@ def test_graded_sections(rng):
     assert graded_k_inner({1: k1}, {1: k1}, QUAD) == k_inner(k1, k1, QUAD)
     tot = graded_k_inner({1: k1, 2: k2}, {1: k1, 2: k2}, QUAD).real
     assert abs(tot - k_inner(k1, k1, QUAD).real - k_inner(k2, k2, QUAD).real) < 1e-12 * tot
+    # a section filed under another block count used to drop out of the sum as 0
+    with pytest.raises(ValueError, match="wrong block count"):
+        graded_k_inner({1: k2}, {2: k2}, QUAD)
 
 
 def test_finite_support_approximation():
