@@ -69,14 +69,6 @@ class PointTuple:
     def __post_init__(self) -> None:
         object.__setattr__(self, "points", _points(self.points))
 
-    @property
-    def n(self) -> int:
-        return len(self.points)
-
-    @property
-    def d(self) -> int:
-        return len(self.points[0])
-
 
 @dataclass(frozen=True)
 class PointSet:

@@ -8,7 +8,6 @@ product of N cones the weight is the product of the per-block densities.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -122,38 +121,6 @@ class BumpExpansion:
 
     __rmul__ = __mul__
 
-    # serialization: exact round-trip through repr-formatted floats
-    def to_dict(self) -> dict:
-        return {
-            "dims": self.dims,
-            "terms": [
-                {
-                    "coeff_re": t.coeff.real,
-                    "coeff_im": t.coeff.imag,
-                    "factors": [{"center": f.center, "width": f.width} for f in t.factors],
-                }
-                for t in self.terms
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "BumpExpansion":
-        terms = tuple(
-            BumpTerm(
-                complex(t["coeff_re"], t["coeff_im"]),
-                tuple(BumpFunction(f["center"], f["width"]) for f in t["factors"]),
-            )
-            for t in d["terms"]
-        )
-        return cls(int(d["dims"]), terms)
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def loads(cls, text: str) -> "BumpExpansion":
-        return cls.from_dict(json.loads(text))
-
 
 def product_bump(coeff: complex, centers: Sequence[float], widths: Sequence[float]) -> BumpExpansion:
     if len(centers) != len(widths):
@@ -263,7 +230,7 @@ def normalized(f: BumpExpansion, fiber: FiberSpace, quad: QuadConfig) -> BumpExp
 class MonotoneMap:
     """Closed-form strictly increasing map on an interval of the line.
 
-    Tags: "identity"; "affine" with params (a, b), a > 0, x -> a x + b;
+    Tags: "identity"; "affine" with finite params (a, b), a > 0, x -> a x + b;
     "square" for x -> x^2 on (0, inf).
     """
 
@@ -272,8 +239,8 @@ class MonotoneMap:
 
     def __post_init__(self) -> None:
         if self.tag == "affine":
-            if len(self.params) != 2 or not self.params[0] > 0:
-                raise ValueError("affine map needs params (a, b) with a > 0")
+            if len(self.params) != 2 or not self.params[0] > 0 or not all(map(math.isfinite, self.params)):
+                raise ValueError("affine map needs finite params (a, b) with a > 0")
         elif self.tag in ("identity", "square"):
             if self.params:
                 raise ValueError(f"{self.tag} map takes no parameters")
@@ -321,13 +288,17 @@ class Weighted1D:
     tag: str
     scale: float = 1.0
 
+    def __post_init__(self) -> None:
+        if self.tag not in ("lebesgue", "reciprocal"):
+            raise ValueError(f"unknown measure tag {self.tag!r}")
+        if not 0 < self.scale < math.inf:
+            raise ValueError("measure scale must be positive and finite")
+
     def density(self, x):
         x = np.asarray(x, float)
         if self.tag == "lebesgue":
             return np.full_like(x, self.scale)
-        if self.tag == "reciprocal":
-            return self.scale / np.abs(x)
-        raise ValueError(f"unknown measure tag {self.tag!r}")
+        return self.scale / np.abs(x)
 
 
 def pushforward_product_check(

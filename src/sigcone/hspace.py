@@ -20,7 +20,6 @@ so the only error in the unitarity checks is quadrature error.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property, partial, reduce
@@ -28,8 +27,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .fibers import BumpExpansion, BumpFunction, BumpTerm, bump_values
-from .gamma import InvariantMeasure, SignatureSpec, check_support
+from .fibers import BumpFunction, bump_values
+from .gamma import InvariantMeasure, check_support
 from .quadrature import QuadConfig, gl_rule, grid_product, hull_box, intersect_box, intersect_interval, tensor_rule
 
 _CHUNK_BUDGET = 2_000_000  # bounds the points PairedDensity.integrate evaluates at once
@@ -150,41 +149,12 @@ class HalfDensityState:
                 raise ValueError("x support must stay inside the sorted cone")
             check_support(*t.gamma_box, self.measure.spec)
 
-    # construction ------------------------------------------------------------
-
-    @classmethod
-    def from_expansion(cls, rep: BumpExpansion, n_blocks: int, measure: InvariantMeasure) -> "HalfDensityState":
-        """Split a 2N-dimensional bump expansion (x dims first) into state terms."""
-        if rep.dims != 2 * n_blocks:
-            raise ValueError("expansion must have one x and one gamma bump per block")
-        terms = tuple(
-            BumpStateTerm(t.coeff, t.factors[:n_blocks], t.factors[n_blocks:]) for t in rep.terms
-        )
-        return cls(n_blocks, measure, terms)
-
-    def to_expansion(self) -> BumpExpansion:
-        """The coordinate representation, for bump-built states."""
-        out_terms = []
-        for t in self.terms:
-            if not isinstance(t, BumpStateTerm):
-                raise ValueError("pulled-back terms have no bump representation")
-            out_terms.append(BumpTerm(t.coeff, t.x_factors + t.g_factors))
-        return BumpExpansion(2 * self.n_blocks, tuple(out_terms))
-
     def scaled(self, z: complex) -> "HalfDensityState":
         return HalfDensityState(self.n_blocks, self.measure, tuple(t.scaled(z) for t in self.terms))
 
     def __add__(self, other: "HalfDensityState") -> "HalfDensityState":
         _check_compatible(self, other)
         return HalfDensityState(self.n_blocks, self.measure, self.terms + other.terms)
-
-    def __mul__(self, z: complex) -> "HalfDensityState":
-        return self.scaled(z)
-
-    __rmul__ = __mul__
-
-    def __sub__(self, other: "HalfDensityState") -> "HalfDensityState":
-        return self + other.scaled(-1.0)
 
     # geometry ------------------------------------------------------------------
 
@@ -204,25 +174,6 @@ class HalfDensityState:
                 vals = vals * bump_values(c, w, g)
             out += vals
         return out
-
-    # serialization ----------------------------------------------------------
-
-    def dumps(self) -> str:
-        return json.dumps(
-            {
-                "n_blocks": self.n_blocks,
-                "signature": [self.measure.spec.p, self.measure.spec.p_prime],
-                "scale_c": self.measure.scale_c,
-                "rep": self.to_expansion().to_dict(),
-            }
-        )
-
-    @classmethod
-    def loads(cls, text: str) -> "HalfDensityState":
-        d = json.loads(text)
-        spec = SignatureSpec(*d["signature"])
-        measure = InvariantMeasure(spec, float(d["scale_c"]))
-        return cls.from_expansion(BumpExpansion.from_dict(d["rep"]), int(d["n_blocks"]), measure)
 
 
 def _check_compatible(s1: HalfDensityState, s2: HalfDensityState) -> None:

@@ -9,7 +9,6 @@ constructed, then transported by closed-form maps, never measured.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Mapping
@@ -25,7 +24,7 @@ from .fibers import (
     fiber_inner,
     product_bump,
 )
-from .gamma import InvariantMeasure, SignatureSpec, check_support
+from .gamma import InvariantMeasure, check_support
 from .quadrature import QuadConfig
 
 BASIS_FAMILY_SIZE = 4
@@ -72,41 +71,8 @@ class SparseSection:
             merged[y] = merged[y] + f if y in merged else f
         return SparseSection(self.n_blocks, self.measure, tuple(merged.items()))
 
-    def __mul__(self, z: complex) -> "SparseSection":
-        return self.scaled(z)
-
-    __rmul__ = __mul__
-
     def __sub__(self, other: "SparseSection") -> "SparseSection":
         return self + other.scaled(-1.0)
-
-    # serialization ------------------------------------------------------------
-
-    def dumps(self) -> str:
-        return json.dumps(
-            {
-                "n_blocks": self.n_blocks,
-                "signature": [self.measure.spec.p, self.measure.spec.p_prime],
-                "scale_c": self.measure.scale_c,
-                "entries": [
-                    {"point": list(y.values), "fiber": f.to_dict()} for y, f in self.entries
-                ],
-            }
-        )
-
-    @classmethod
-    def loads(cls, text: str) -> "SparseSection":
-        d = json.loads(text)
-        measure = InvariantMeasure(SignatureSpec(*d["signature"]), float(d["scale_c"]))
-        entries = []
-        for e in d["entries"]:
-            point = tuple(float(v) for v in e["point"])
-            y = PointSet(tuple((v,) for v in point))
-            # fiber block k belongs to the k-th largest point, so the order is not free
-            if y.values != point:
-                raise ValueError("a section's point must list its floats in decreasing order")
-            entries.append((y, BumpExpansion.from_dict(e["fiber"])))
-        return cls(int(d["n_blocks"]), measure, tuple(entries))
 
 
 def _check_compatible(s1: SparseSection, s2: SparseSection) -> None:

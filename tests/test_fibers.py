@@ -88,12 +88,6 @@ def test_expansion_arithmetic_and_call():
     assert BumpExpansion(1, ()).support_box() is None
 
 
-def test_expansion_serialization_exact():
-    f = product_bump(0.1 + 0.2j, [1 / 3, 2.0], [0.1, 0.7])
-    g = BumpExpansion.loads(f.dumps())
-    assert g == f  # frozen dataclasses compare exactly, including float bits
-
-
 def test_fiber_inner_zero_and_disjoint():
     fiber = FiberSpace(MEAS, 1)
     f = product_bump(1.0, [2.0], [0.5])
@@ -184,6 +178,24 @@ def test_monotone_map_validation():
     x = np.array([0.5, 2.0])
     assert np.allclose(m.inverse(m(x)), x)
     assert np.allclose(m.inverse_deriv(m(x)), 1.0 / m.deriv(x))
+
+
+@pytest.mark.parametrize(
+    "make, args",
+    [
+        (MonotoneMap, ("affine", (1.0, np.nan))),
+        (MonotoneMap, ("affine", (np.inf, 0.0))),
+        (Weighted1D, ("gaussian",)),
+        (Weighted1D, ("reciprocal", 0.0)),
+        (Weighted1D, ("lebesgue", -1.0)),
+        (Weighted1D, ("reciprocal", np.nan)),
+        (Weighted1D, ("lebesgue", np.inf)),
+    ],
+    ids=["affine-nan-shift", "affine-inf-slope", "unknown-tag", "zero-scale", "negative-scale", "nan-scale", "inf-scale"],
+)
+def test_maps_and_measures_refuse_bad_parameters_when_built(make, args):
+    with pytest.raises(ValueError):
+        make(*args)
 
 
 def test_pushforward_identity_pair_is_exact():

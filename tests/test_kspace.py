@@ -1,10 +1,9 @@
-import json
 import math
 
 import numpy as np
 import pytest
 
-from sigcone.configuration import DuplicatePointError, affine, identity, point_set, sine, soft
+from sigcone.configuration import affine, identity, point_set, sine, soft
 from sigcone.fibers import FiberSpace, fiber_inner, normalized, product_bump
 from sigcone.gamma import InvariantMeasure, SignatureSpec, SupportError
 from sigcone.harness import random_point_set, random_section
@@ -42,22 +41,6 @@ def test_section_validation():
     SparseSection(2, MEAS, (good,))
     with pytest.raises(SupportError):
         SparseSection(2, MEAS, (good, crossing))
-
-
-@pytest.mark.parametrize(
-    "point, error, match",
-    [
-        ([1.0, 1.0], DuplicatePointError, "closer"),
-        # fiber block k belongs to the k-th largest point, so loads must not reorder
-        ([0.0, 1.0], ValueError, "decreasing"),
-    ],
-)
-def test_loads_refuses_bad_support_point(point, error, match):
-    s = SparseSection(2, MEAS, ((point_set(1.0, 0.0), product_bump(1.0, [2.0, 2.0], [0.5, 0.5])),))
-    d = json.loads(s.dumps())
-    d["entries"][0]["point"] = point
-    with pytest.raises(error, match=match):
-        SparseSection.loads(json.dumps(d))
 
 
 def test_k_inner_disjoint_and_shared():
@@ -184,13 +167,6 @@ def test_finite_support_approximation():
         )
         approx = SparseSection(1, MEAS, entries)
         assert k_norm(approx - target, QUAD) < 1.0 / m
-
-
-def test_section_serialization_roundtrip(rng):
-    s = random_section(rng, 2, MEAS, [random_point_set(rng, 2) for _ in range(2)])
-    t = SparseSection.loads(s.dumps())
-    assert t == s
-    assert k_inner(s, t, QUAD).real == pytest.approx(k_inner(s, s, QUAD).real, rel=1e-15)
 
 
 def test_summation_order_independence(rng):

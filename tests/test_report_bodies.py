@@ -8,8 +8,14 @@ with; another numpy or libm may round a last digit differently.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import sigcone
 
 from sigcone.harness import SUITE_NAMES, default_config, run_suite, write_report
 
@@ -41,3 +47,20 @@ def test_report_body_matches_pinned_hash(name, tmp_path):
     write_report(path, result)
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digest == PINNED[name], f"report body of suite {name!r} changed"
+
+
+def _density_axioms_body(tmp_path: Path, blas_threads: int) -> bytes:
+    """The density-axioms report body written by a fresh process under a BLAS thread cap."""
+    out = tmp_path / f"threads{blas_threads}.report.jsonl"
+    src = str(Path(sigcone.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads), PYTHONPATH=src)
+    cmd = [sys.executable, "-m", "sigcone.cli", "verify", "density-axioms",
+           "--seed", "20240613", "--trials", "3", "--out", str(out)]
+    subprocess.run(cmd, env=env, check=True, capture_output=True)
+    return out.read_bytes()
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two cores for a threaded BLAS")
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
+def test_bodies_do_not_depend_on_blas_threads(tmp_path):
+    assert _density_axioms_body(tmp_path, 1) == _density_axioms_body(tmp_path, 2)
