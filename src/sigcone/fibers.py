@@ -323,6 +323,17 @@ def pushforward_product_check(
     rhs = 0.0 + 0.0j
     for t in h.terms:
         (lox, hix), (loy, hiy) = (t.factors[0].lo, t.factors[0].hi), (t.factors[1].lo, t.factors[1].hi)
+        # refuse a support a map does not reach before any NaN can arise
+        if (alpha.tag == "square" and not lox > 0) or (beta.tag == "square" and not loy > 0):
+            raise ValueError("support leaves the image (0, inf) of the square map")
+        plox, phix = float(alpha.inverse(lox)), float(alpha.inverse(hix))
+        ploy, phiy = float(beta.inverse(loy)), float(beta.inverse(hiy))
+        if not all(map(math.isfinite, (plox, phix, ploy, phiy))):
+            raise ValueError("the preimage of the support is not finite")
+        u, wu = gl_rule(plox, phix, m)
+        v, wv = gl_rule(ploy, phiy, m)
+        if not (np.all(alpha.deriv(u) > 0) and np.all(beta.deriv(v) > 0)):
+            raise ValueError("map fails to be increasing on the pulled-back support")
         # forward side: image densities on the support of h
         x, wx = gl_rule(lox, hix, m)
         y, wy = gl_rule(loy, hiy, m)
@@ -332,12 +343,6 @@ def pushforward_product_check(
         gy = t.factors[1](y) * rho_y
         lhs += t.coeff * np.dot(wx, gx) * np.dot(wy, gy)
         # pulled-back side: integrate over the preimage box
-        plox, phix = float(alpha.inverse(lox)), float(alpha.inverse(hix))
-        ploy, phiy = float(beta.inverse(loy)), float(beta.inverse(hiy))
-        u, wu = gl_rule(plox, phix, m)
-        v, wv = gl_rule(ploy, phiy, m)
-        if np.any(alpha.deriv(u) <= 0) or np.any(beta.deriv(v) <= 0):
-            raise ValueError("map fails to be increasing on the pulled-back support")
         fu = t.factors[0](alpha(u)) * mu.density(u)
         fv = t.factors[1](beta(v)) * nu.density(v)
         rhs += t.coeff * np.dot(wu, fu) * np.dot(wv, fv)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -215,6 +217,20 @@ def test_pushforward_scale_square_case():
         Weighted1D("reciprocal", 1.0), Weighted1D("reciprocal", 1.0), QUAD,
     )
     assert rep.rel_err < 1e-7
+
+
+@pytest.mark.parametrize("square_first", [True, False])
+def test_pushforward_refuses_a_support_outside_the_square_image(square_first):
+    # the first factor's support [-0.3, 0.9] reaches below the image (0, inf) of x -> x^2
+    maps = [MonotoneMap("square"), MonotoneMap("identity")]
+    h = product_bump(1.0, [0.3, 1.5], [0.6, 0.6])
+    if not square_first:
+        maps.reverse()
+        h = product_bump(1.0, [1.5, 0.3], [0.6, 0.6])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="image"):
+            pushforward_product_check(*maps, h, Weighted1D("lebesgue"), Weighted1D("reciprocal"), QUAD)
 
 
 def test_pushforward_shift_factorizes():

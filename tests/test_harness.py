@@ -1,14 +1,19 @@
+import itertools
 import json
+import math
 from dataclasses import replace
 
 import pytest
 
+from sigcone import configuration, densities
 from sigcone.cli import main
 from sigcone.configuration import Diffeo1D
 from sigcone.harness import (
     ReportRow,
     SuiteConfig,
     SuiteResult,
+    _rel,
+    _Rows,
     convergence_study,
     default_config,
     run_suite,
@@ -129,6 +134,41 @@ def test_row_timings_are_measured_and_add_up(tmp_path):
     assert timings["elapsed_ms"] == result.elapsed_ms
     assert timings["rows"] == {r.case_id: r.elapsed_ms for r in result.rows}
     assert all(t > 0.0 for t in timings["rows"].values())
+
+
+def test_rows_judge_every_row_by_one_rule():
+    out = _Rows("rule", SuiteConfig())
+    out.add("default-err", 1.0 + 2.0j, 1.0 + 2.0j + 1e-9, 1e-8)
+    out.add("err-at-tol", 1.0, 2.0, 0.5, err=0.5)
+    out.add("exact-zero", 3.0, 0.0, 0, err=0.0)
+    out.add("least-positive", 3.0, 0.0, 0, err=5e-324)
+    out.add("nan-err", 1.0, 1.0, math.inf, err=math.nan)
+    out.add("ok-pass", 1.0, 5.0, 1e-12, ok=True)
+    out.add("ok-fail", 1.0, 1.0, 1e-12, ok=False)
+    rows = {r.case_id: r for r in out.rows}
+    assert rows["default-err"].rel_err == _rel(1.0 + 2.0j, 1.0 + 2.0j + 1e-9)
+    assert rows["ok-pass"].rel_err == _rel(1.0, 5.0)
+    verdicts = {case_id: r.verdict for case_id, r in rows.items()}
+    assert verdicts == {
+        "default-err": True, "err-at-tol": False, "exact-zero": True, "least-positive": False,
+        "nan-err": False, "ok-pass": True, "ok-fail": False,
+    }
+
+
+def test_density_positivity_fails_on_a_nan_norm(monkeypatch):
+    monkeypatch.setattr(densities, "evaluate", lambda w, e: complex(math.nan, 0.0))
+    result = run_suite("density-axioms", default_config("density-axioms", trials=2))
+    pos = [r for r in result.rows if r.case_id.endswith("-pos")]
+    assert len(pos) == 2 and not any(r.verdict for r in pos)
+
+
+def test_chart_atlas_rows_count_the_cases_that_broke(monkeypatch):
+    calls, real = itertools.count(), configuration.project
+    monkeypatch.setattr(configuration, "project", lambda t: None if next(calls) % 2 else real(t))
+    result = run_suite("chart-atlas", default_config("chart-atlas", trials=50))
+    rows = {r.case_id: r for r in result.rows}
+    assert not rows["projection[10]"].verdict and rows["projection[10]"].rel_err == 5.0
+    assert all(r.verdict for case_id, r in rows.items() if case_id != "projection[10]")
 
 
 def test_measure_invariance_doubled_rule_floor():
