@@ -22,7 +22,7 @@ from .gamma import (
     invariant_dot,
     vech_det,
 )
-from .quadrature import QuadConfig, gl_rule, grid_product, hull_box, intersect_interval, tensor_rule
+from .quadrature import QuadConfig, gl_rule, grid_product, hull_box, intersect_interval, rule_sum, tensor_rule
 
 
 @dataclass(frozen=True)
@@ -176,8 +176,7 @@ def _block_quad(
     if dim == 1:
         (lo, hi) = lohi[0]
         x, w = gl_rule(lo, hi, m)
-        vals = factors1[0](x) * factors2[0](x) * measure.scale_c * np.abs(x) ** -1.0
-        return float(np.dot(w, vals))
+        return float(invariant_dot(x, w, factors1[0](x) * factors2[0](x), measure))
     lo = np.array([iv[0] for iv in lohi])
     hi = np.array([iv[1] for iv in lohi])
     pts, wts = tensor_rule(lo, hi, m)
@@ -341,10 +340,10 @@ def pushforward_product_check(
         rho_y = nu.density(beta.inverse(y)) * np.abs(beta.inverse_deriv(y))
         gx = t.factors[0](x) * rho_x
         gy = t.factors[1](y) * rho_y
-        lhs += t.coeff * np.dot(wx, gx) * np.dot(wy, gy)
+        lhs += t.coeff * rule_sum(wx, gx) * rule_sum(wy, gy)
         # pulled-back side: integrate over the preimage box
         fu = t.factors[0](alpha(u)) * mu.density(u)
         fv = t.factors[1](beta(v)) * nu.density(v)
-        rhs += t.coeff * np.dot(wu, fu) * np.dot(wv, fv)
+        rhs += t.coeff * rule_sum(wu, fu) * rule_sum(wv, fv)
     rel = abs(lhs - rhs) / max(abs(lhs), 1e-300)
     return InvarianceReport(lhs=complex(lhs), rhs=complex(rhs), rel_err=rel, nodes=m)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import QuadConfig, box_corners, gl_rule, grid_product, tensor_rule
+from .quadrature import QuadConfig, box_corners, gl_rule, grid_product, rule_sum, tensor_rule
 
 DEGENERACY_FLOOR = 1e-14
 SUPPORT_DET_FLOOR = 1e-8
@@ -227,7 +227,7 @@ def vech_det(v, n: int) -> np.ndarray:
 
 
 def invariant_dot(det: np.ndarray, wts: np.ndarray, vals: np.ndarray, measure: InvariantMeasure):
-    """Rule sum of vals against c * |det|^(-(n+1)/2), applied in place at every node.
+    """rule_sum of vals (one total per row) against c * |det|^(-(n+1)/2), applied in place.
 
     det and vals are overwritten.  Every weight is finite where the caller
     certified |det| >= 1e-8 with check_support or set det to 1 where vals is 0.
@@ -235,7 +235,7 @@ def invariant_dot(det: np.ndarray, wts: np.ndarray, vals: np.ndarray, measure: I
     weight = np.abs(det, out=det)
     weight **= -(measure.spec.n + 1) / 2
     weight *= measure.scale_c
-    return np.dot(wts, np.multiply(vals, weight, out=vals))
+    return rule_sum(wts, np.multiply(vals, weight, out=vals))
 
 
 def integrate_gamma(f, measure: InvariantMeasure, quad: QuadConfig) -> complex:

@@ -28,8 +28,9 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .fibers import BumpFunction, bump_values
-from .gamma import InvariantMeasure, check_support
-from .quadrature import QuadConfig, gl_rule, grid_product, hull_box, intersect_box, intersect_interval, tensor_rule
+from .gamma import InvariantMeasure, check_support, invariant_dot
+from .quadrature import (QuadConfig, gl_rule, grid_product, hull_box, intersect_box, intersect_interval, rule_sum,
+                         tensor_rule)
 
 _CHUNK_BUDGET = 2_000_000  # bounds the points PairedDensity.integrate evaluates at once
 
@@ -217,8 +218,7 @@ def _pair_gamma_integrals(t1, t2, xs: Sequence[np.ndarray], join, measure: Invar
             g = mid[live, None] + half[live, None] * refx[None, :]
             f = bump_values(ca[live, None], wa[live, None], g)
             f = f * bump_values(cb[live, None], wb[live, None], g)
-            f = f * (measure.scale_c / np.abs(g))
-            block[live] = (f @ refw) * half[live]
+            block[live] = invariant_dot(g, refw, f, measure) * half[live]
         # on a grid, block k varies along axis k; pointwise vals have one axis
         vals = vals * block.reshape(block.shape + (1,) * (vals.ndim - 1 - k))
     return vals
@@ -263,7 +263,7 @@ class PairedDensity:
         chunk = max(1, _CHUNK_BUDGET // m)
         for start in range(0, len(pts), chunk):
             sl = slice(start, start + chunk)
-            total += np.dot(wts[sl], self(pts[sl]))
+            total += rule_sum(wts[sl], self(pts[sl]))
         return complex(total)
 
 
@@ -285,7 +285,7 @@ def inner(s1: HalfDensityState, s2: HalfDensityState, quad: QuadConfig) -> compl
                 continue
             _, wts = tensor_rule(box[0], box[1], m)
             nodes = [gl_rule(lo, hi, m)[0] for lo, hi in zip(*box)]
-            total += np.dot(wts, np.ravel(_pair_gamma_integrals(t1, t2, nodes, grid_product, s1.measure, m)))
+            total += rule_sum(wts, np.ravel(_pair_gamma_integrals(t1, t2, nodes, grid_product, s1.measure, m)))
     return complex(total)
 
 
@@ -319,7 +319,7 @@ def joint_inner(s1: HalfDensityState, s2: HalfDensityState, quad: QuadConfig) ->
                 f2 = bump_values(centers2[k][:, None], widths2[k][:, None], gg[None, :])
                 grid = f1 * f2 * (s1.measure.scale_c / np.abs(gg))[None, :]
                 grid = grid * (np.conj(xv1[k]) * xv2[k])[:, None]
-                pair *= complex(xw @ grid @ gw)
+                pair *= complex(rule_sum(xw, rule_sum(gw, grid)))
             total += pair
     return complex(total)
 
@@ -386,7 +386,7 @@ def counterexample_profile(eps_grid: Sequence[float], nodes: int = 200) -> list[
         s, w = gl_rule(0.0, -math.log(x), nodes)
         g = np.exp(s)
         vals = x * (g - 1.0) ** 2 * (1.0 - x * g) ** 2
-        rows.append((x, float(np.dot(w, vals))))
+        rows.append((x, float(rule_sum(w, vals))))
     return rows
 
 

@@ -28,7 +28,7 @@ from sigcone.gamma import (
 from sigcone import gamma
 from sigcone.fibers import product_bump
 from sigcone.harness import random_cone_expansion
-from sigcone.quadrature import QuadConfig, box_corners, gl_rule, tensor_rule
+from sigcone.quadrature import QuadConfig, box_corners, gl_rule, rule_sum, tensor_rule
 
 
 class Boxed:
@@ -251,7 +251,7 @@ def masked_oracle_rhs(f, g, meas, m):
         det = pts[:, 0] * pts[:, 2] - pts[:, 1] * pts[:, 1]
         weight = np.zeros(len(pts))
         weight[mask] = meas.scale_c * np.abs(det[mask]) ** -1.5
-        rhs += np.dot(wts, vals * weight)
+        rhs += rule_sum(wts, vals * weight)
     return complex(rhs)
 
 

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from sigcone import configuration, densities
+from sigcone import configuration, densities, hspace
 from sigcone.cli import main
 from sigcone.configuration import Diffeo1D
 from sigcone.harness import (
@@ -274,6 +274,21 @@ def test_cli_study(tmp_path, capsys):
 def test_cli_rejects_unknown_suite():
     with pytest.raises(SystemExit):
         main(["verify", "bogus"])
+
+
+def test_pairing_identity_study_compares_nonzero_inner_products(monkeypatch):
+    # a pair with disjoint x supports compares 0 with 0 at every rung and cannot fail
+    seen = []
+    inner = hspace.inner
+
+    def recording_inner(*args):
+        seen.append(inner(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(hspace, "inner", recording_inner)
+    rows = convergence_study("pairing-identity", [16, 32])
+    assert len(seen) == 2 and all(v != 0 for v in seen)
+    assert study_decays(rows)
 
 
 def test_convergence_studies():

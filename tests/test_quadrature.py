@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.integrate import quad as sciquad
 
+import sigcone
 from sigcone.quadrature import (
     QuadConfig,
     box_corners,
@@ -11,6 +17,7 @@ from sigcone.quadrature import (
     intersect_box,
     intersect_interval,
     quad_1d,
+    rule_sum,
     tensor_rule,
 )
 
@@ -46,6 +53,38 @@ def test_bump_mass_matches_adaptive_oracle():
     assert abs(oracle - BUMP_MASS) < 1e-12
     got = quad_1d(bump, -1.0, 1.0, 64)
     assert abs(got - BUMP_MASS) < 1e-10
+
+
+def test_rule_sum_sums_the_last_axis_like_dot(rng):
+    w = rng.uniform(0.1, 1.0, size=50)
+    vals = rng.uniform(0.0, 1.0, size=(3, 4, 50)) + 1j * rng.uniform(0.0, 1.0, size=(3, 4, 50))
+    want = np.array([[np.dot(w, v) for v in row] for row in vals])
+    got = rule_sum(w, vals.copy())
+    assert got.shape == (3, 4)
+    assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+
+
+# a separable complex integrand summed over an m^3 grid, printed with every digit
+_GRID_TOTAL = """
+import sys
+import numpy as np
+from sigcone.quadrature import gl_rule, grid_product, rule_sum
+x, w = gl_rule(0.3, 1.7, int(sys.argv[1]))
+vals = np.ravel(grid_product([np.exp(x) + 1j * x, np.cos(x), 1.0 / (1.0 + x)]))
+print(repr(complex(rule_sum(np.ravel(grid_product([w, w, w])), vals))))
+"""
+
+
+@pytest.mark.parametrize("m", [23, 64])
+def test_rule_sum_does_not_depend_on_blas_threads(m):
+    src = str(Path(sigcone.__file__).resolve().parents[1])
+    totals = set()
+    for threads in (1, 2):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", _GRID_TOTAL, str(m)], env=env, capture_output=True, text=True,
+                              check=True)
+        totals.add(proc.stdout)
+    assert len(totals) == 1
 
 
 def test_tensor_rule_factorizes():

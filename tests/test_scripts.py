@@ -1,5 +1,7 @@
 """Smoke tests: the scripts in scripts/ run against the package in src/."""
 
+import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -41,3 +43,33 @@ def test_compare_bodies_refuses_a_bad_revision_and_leaves_git_alone(tmp_path):
     assert proc.returncode == 2
     assert len(proc.stderr.splitlines()) == 1 and "no-such-revision" in proc.stderr
     assert worktrees() == before
+
+
+def _write_body(path, rows, summary):
+    lines = [json.dumps(dict(r, suite="s"), sort_keys=True) for r in rows]
+    path.write_text("\n".join(lines + [json.dumps({"summary": summary}, sort_keys=True)]) + "\n")
+
+
+def test_compare_bodies_says_what_moved(tmp_path):
+    spec = importlib.util.spec_from_file_location("compare_bodies", ROOT / "scripts" / "compare_bodies.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    ref, new = tmp_path / "ref", tmp_path / "new"
+    ref.mkdir(), new.mkdir()
+    row = {"case_id": "a", "lhs": 1.0, "rhs": [2.0, 0.5], "nodes": 8, "rel_err": 0.0, "verdict": "pass"}
+    summary = {"all_pass": True, "cases": 2, "failures": 0, "suite": "s"}
+    for d in (ref, new):
+        _write_body(d / "same.report.jsonl", [row], summary)
+    _write_body(ref / "shift.report.jsonl", [row, dict(row, case_id="b")], summary)
+    _write_body(new / "shift.report.jsonl", [dict(row, lhs=1.0 + 2e-16), dict(row, case_id="b", rhs=[2.0, 0.5 + 1e-15])],
+                summary)
+    _write_body(ref / "verdict.report.jsonl", [row], summary)
+    _write_body(new / "verdict.report.jsonl", [dict(row, case_id="c", verdict="fail")], dict(summary, failures=1))
+    _write_body(ref / "gone.report.jsonl", [row], summary)
+    assert script._differences(ref, new) == [
+        ("gone", "written by one tree only"),
+        ("shift", "2 lhs/rhs values moved, largest relative shift 4.8e-16 at b; "
+                  "verdicts, case ids and summary unchanged"),
+        ("verdict", "0 lhs/rhs values moved; verdict of c pass -> fail; case ids differ; "
+                    "summary line differs"),
+    ]
