@@ -229,8 +229,8 @@ def normalized(f: BumpExpansion, fiber: FiberSpace, quad: QuadConfig) -> BumpExp
 class MonotoneMap:
     """Closed-form strictly increasing map on an interval of the line.
 
-    Tags: "identity"; "affine" with finite params (a, b), a > 0, x -> a x + b;
-    "square" for x -> x^2 on (0, inf).
+    Tags: "affine" with finite params (a, b), a > 0, x -> a x + b; "square"
+    for x -> x^2 on (0, inf).
     """
 
     tag: str
@@ -240,16 +240,14 @@ class MonotoneMap:
         if self.tag == "affine":
             if len(self.params) != 2 or not self.params[0] > 0 or not all(map(math.isfinite, self.params)):
                 raise ValueError("affine map needs finite params (a, b) with a > 0")
-        elif self.tag in ("identity", "square"):
+        elif self.tag == "square":
             if self.params:
-                raise ValueError(f"{self.tag} map takes no parameters")
+                raise ValueError("square map takes no parameters")
         else:
             raise ValueError(f"unknown monotone map tag {self.tag!r}")
 
     def __call__(self, x):
         x = np.asarray(x, float)
-        if self.tag == "identity":
-            return x
         if self.tag == "affine":
             a, b = self.params
             return a * x + b
@@ -257,16 +255,12 @@ class MonotoneMap:
 
     def deriv(self, x):
         x = np.asarray(x, float)
-        if self.tag == "identity":
-            return np.ones_like(x)
         if self.tag == "affine":
             return np.full_like(x, self.params[0])
         return 2.0 * x
 
     def inverse(self, y):
         y = np.asarray(y, float)
-        if self.tag == "identity":
-            return y
         if self.tag == "affine":
             a, b = self.params
             return (y - b) / a

@@ -229,8 +229,8 @@ def vech_det(v, n: int) -> np.ndarray:
 def invariant_dot(det: np.ndarray, wts: np.ndarray, vals: np.ndarray, measure: InvariantMeasure):
     """rule_sum of vals (one total per row) against c * |det|^(-(n+1)/2), applied in place.
 
-    det and vals are overwritten.  Every weight is finite where the caller
-    certified |det| >= 1e-8 with check_support or set det to 1 where vals is 0.
+    det and vals are overwritten.  Weights are finite on a support certified by check_support (|det| >= 1e-8),
+    where det was set to 1 with vals 0, and in a gap between two certified supports on one half-line.
     """
     weight = np.abs(det, out=det)
     weight **= -(measure.spec.n + 1) / 2

@@ -292,7 +292,7 @@ def _suite_measure_invariance(config: SuiteConfig, out: _Rows) -> None:
 
 def _pushforward_case(rng: np.random.Generator, i: int):
     maps = [
-        fibers.MonotoneMap("identity"),
+        fibers.MonotoneMap("affine", (1.0, 0.0)),
         fibers.MonotoneMap("affine", (2.0, 0.0)),
         fibers.MonotoneMap("affine", (1.0, 1.0)),
         fibers.MonotoneMap("square"),
@@ -375,7 +375,7 @@ def _suite_pairing_continuity(config: SuiteConfig, out: _Rows) -> None:
     spec = gamma.SignatureSpec(*config.signature)
     for i, label, rng in out.cases("pair"):
         measure = gamma.InvariantMeasure(spec, float(rng.uniform(0.5, 2.0)))
-        n_blocks = 1 + i % 2
+        n_blocks = 1 + i % min(2, config.n_max)
         s = random_state(rng, n_blocks, measure, n_terms=1)
         term = s.terms[0]
         dens_fn = hspace.pair_to_density(s, s, quad)

@@ -32,8 +32,6 @@ from .gamma import InvariantMeasure, check_support, invariant_dot
 from .quadrature import (QuadConfig, gl_rule, grid_product, hull_box, intersect_box, intersect_interval, rule_sum,
                          tensor_rule)
 
-_CHUNK_BUDGET = 2_000_000  # bounds the points PairedDensity.integrate evaluates at once
-
 # joins for BumpStateTerm.axes: the product at shared points (grid_product
 # gives it over a tensor grid; np.stack keeps the blocks apart for joint_inner)
 _POINTWISE = partial(reduce, np.multiply)
@@ -201,7 +199,10 @@ def _pair_gamma_integrals(t1, t2, xs: Sequence[np.ndarray], join, measure: Invar
     Block k's gamma integral depends on x^k only, so it is taken once per
     value in xs[k]: a 1-D quadrature over the intersection of the two
     sections' supports, against the invariant density.  With grid_product as
-    the join, the blocks are broadcast along their grid axes.
+    the join, the blocks are broadcast along their grid axes.  Where the two
+    supports miss, half is 0 and every node sits at the gap midpoint: both
+    bumps are exactly 0 there, and |gamma| > 0 because the gap lies between
+    two certified supports on one half-line, so the row is exactly 0.
     """
     refx, refw = gl_rule(-1.0, 1.0, m)
     c1, centers1, widths1 = t1.axes(xs, join)
@@ -211,14 +212,10 @@ def _pair_gamma_integrals(t1, t2, xs: Sequence[np.ndarray], join, measure: Invar
         lo = np.maximum(ca - wa, cb - wb)
         hi = np.minimum(ca + wa, cb + wb)
         half = 0.5 * np.maximum(hi - lo, 0.0)
-        mid = 0.5 * (hi + lo)
-        live = half > 0.0
-        block = np.zeros(len(lo))
-        if np.any(live):
-            g = mid[live, None] + half[live, None] * refx[None, :]
-            f = bump_values(ca[live, None], wa[live, None], g)
-            f = f * bump_values(cb[live, None], wb[live, None], g)
-            block[live] = invariant_dot(g, refw, f, measure) * half[live]
+        g = 0.5 * (hi + lo)[:, None] + half[:, None] * refx[None, :]
+        f = bump_values(ca[:, None], wa[:, None], g)
+        f = f * bump_values(cb[:, None], wb[:, None], g)
+        block = invariant_dot(g, refw, f, measure) * half
         # on a grid, block k varies along axis k; pointwise vals have one axis
         vals = vals * block.reshape(block.shape + (1,) * (vals.ndim - 1 - k))
     return vals
@@ -251,20 +248,6 @@ class PairedDensity:
             for t2 in self.s2.terms:
                 out += _pair_gamma_integrals(t1, t2, xs, _POINTWISE, self.s1.measure, self.quad.nodes_per_dim)
         return out
-
-    def integrate(self) -> complex:
-        """Base integral over the support box: the iterated-path inner product."""
-        box = self.support_box()
-        if box is None:
-            return 0.0 + 0.0j
-        m = self.quad.nodes_per_dim
-        pts, wts = tensor_rule(box[0], box[1], m)
-        total = 0.0 + 0.0j
-        chunk = max(1, _CHUNK_BUDGET // m)
-        for start in range(0, len(pts), chunk):
-            sl = slice(start, start + chunk)
-            total += rule_sum(wts[sl], self(pts[sl]))
-        return complex(total)
 
 
 def inner(s1: HalfDensityState, s2: HalfDensityState, quad: QuadConfig) -> complex:

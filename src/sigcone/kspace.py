@@ -145,11 +145,10 @@ def orthonormal_family(fiber: FiberSpace, size: int, quad: QuadConfig) -> list[B
 
 def basis_element(y: PointSet, index: int, measure: InvariantMeasure, quad: QuadConfig) -> SparseSection:
     """The section supported at y whose value is the index-th orthonormal fiber element
-    of a family of BASIS_FAMILY_SIZE."""
-    fiber = FiberSpace(measure, y.n)
-    family = orthonormal_family(fiber, BASIS_FAMILY_SIZE, quad)
-    if not 0 <= index < len(family):
+    of a family of BASIS_FAMILY_SIZE; Gram-Schmidt is sequential, so only members 0..index are built."""
+    if not 0 <= index < BASIS_FAMILY_SIZE:
         raise IndexError("fiber basis index outside the constructed family")
+    family = orthonormal_family(FiberSpace(measure, y.n), index + 1, quad)
     return SparseSection(y.n, measure, ((y, family[index]),))
 
 

@@ -187,13 +187,15 @@ def test_monotone_map_validation():
     [
         (MonotoneMap, ("affine", (1.0, np.nan))),
         (MonotoneMap, ("affine", (np.inf, 0.0))),
+        (MonotoneMap, ("identity",)),
         (Weighted1D, ("gaussian",)),
         (Weighted1D, ("reciprocal", 0.0)),
         (Weighted1D, ("lebesgue", -1.0)),
         (Weighted1D, ("reciprocal", np.nan)),
         (Weighted1D, ("lebesgue", np.inf)),
     ],
-    ids=["affine-nan-shift", "affine-inf-slope", "unknown-tag", "zero-scale", "negative-scale", "nan-scale", "inf-scale"],
+    ids=["affine-nan-shift", "affine-inf-slope", "identity-tag", "unknown-tag", "zero-scale", "negative-scale",
+         "nan-scale", "inf-scale"],
 )
 def test_maps_and_measures_refuse_bad_parameters_when_built(make, args):
     with pytest.raises(ValueError):
@@ -203,7 +205,7 @@ def test_maps_and_measures_refuse_bad_parameters_when_built(make, args):
 def test_pushforward_identity_pair_is_exact():
     h = product_bump(1.0, [1.5, 2.0], [0.5, 0.6])
     rep = pushforward_product_check(
-        MonotoneMap("identity"), MonotoneMap("identity"), h,
+        MonotoneMap("affine", (1.0, 0.0)), MonotoneMap("affine", (1.0, 0.0)), h,
         Weighted1D("lebesgue"), Weighted1D("lebesgue"), QUAD,
     )
     assert rep.rel_err == 0.0
@@ -222,7 +224,7 @@ def test_pushforward_scale_square_case():
 @pytest.mark.parametrize("square_first", [True, False])
 def test_pushforward_refuses_a_support_outside_the_square_image(square_first):
     # the first factor's support [-0.3, 0.9] reaches below the image (0, inf) of x -> x^2
-    maps = [MonotoneMap("square"), MonotoneMap("identity")]
+    maps = [MonotoneMap("square"), MonotoneMap("affine", (1.0, 0.0))]
     h = product_bump(1.0, [0.3, 1.5], [0.6, 0.6])
     if not square_first:
         maps.reverse()
@@ -237,7 +239,7 @@ def test_pushforward_shift_factorizes():
     a, b = BumpFunction(2.1, 0.5), BumpFunction(1.4, 0.4)
     h = BumpExpansion(2, (BumpTerm(1.0, (a, b)),))
     rep = pushforward_product_check(
-        MonotoneMap("affine", (1.0, 1.0)), MonotoneMap("identity"), h,
+        MonotoneMap("affine", (1.0, 1.0)), MonotoneMap("affine", (1.0, 0.0)), h,
         Weighted1D("lebesgue"), Weighted1D("reciprocal", 1.0), QUAD,
     )
     # independent factorized oracle

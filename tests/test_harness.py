@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from sigcone import configuration, densities, hspace
+from sigcone import configuration, densities, harness, hspace
 from sigcone.cli import main
 from sigcone.configuration import Diffeo1D
 from sigcone.harness import (
@@ -289,6 +289,19 @@ def test_pairing_identity_study_compares_nonzero_inner_products(monkeypatch):
     rows = convergence_study("pairing-identity", [16, 32])
     assert len(seen) == 2 and all(v != 0 for v in seen)
     assert study_decays(rows)
+
+
+def test_pairing_continuity_draws_block_counts_up_to_n_max(monkeypatch):
+    # it drew N = 1 + i % 2 whatever n_max said, so n_max=1 still built N=2 states
+    real, drawn = harness.random_state, []
+
+    def spy(rng, n_blocks, measure, n_terms=2):
+        drawn.append(n_blocks)
+        return real(rng, n_blocks, measure, n_terms)
+
+    monkeypatch.setattr(harness, "random_state", spy)
+    result = run_suite("pairing-continuity", default_config("pairing-continuity", trials=4, n_max=1))
+    assert result.passed and drawn == [1] * 4
 
 
 def test_convergence_studies():

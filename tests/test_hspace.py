@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import quad as sciquad
@@ -108,7 +110,7 @@ def test_pair_to_density_zero_cases():
     zero = HalfDensityState(1, MEAS, ())
     f = pair_to_density(s, zero, QUAD)
     assert f.support_box() is None
-    assert f.integrate() == 0
+    assert inner(s, zero, QUAD) == 0
     far = simple_state(xc=20.0)
     g = pair_to_density(s, far, QUAD)
     assert g.support_box() is None
@@ -128,10 +130,19 @@ def test_pair_density_mismatch_errors():
         inner(s1, other, QUAD)
 
 
+def point_path(density):
+    """Pairing first, then the x-integral: the density summed over the tensor rule of its support box."""
+    box = density.support_box()
+    if box is None:
+        return 0j
+    pts, wts = tensor_rule(*box, density.quad.nodes_per_dim)
+    return complex(rule_sum(wts, density(pts)))
+
+
 def test_iterated_equals_density_integration(rng):
     s1 = random_state(rng, 2, MEAS, 2)
     s2 = random_state(rng, 2, MEAS, 2)
-    via_density = pair_to_density(s1, s2, QUAD).integrate()
+    via_density = point_path(pair_to_density(s1, s2, QUAD))
     direct = inner(s1, s2, QUAD)
     assert abs(via_density - direct) < 1e-10 * max(abs(direct), 1e-30)
 
@@ -169,11 +180,24 @@ PULLS = {
 def test_inner_grid_path_equals_point_path_bit_for_bit(rng, n_blocks, pull):
     q = QuadConfig(32)
     s1, s2 = (PULLS[pull](s) for s in overlapping_pair(rng, n_blocks, 1))
-    density = pair_to_density(s1, s2, q)
-    pts, wts = tensor_rule(*density.support_box(), q.nodes_per_dim)
-    total = rule_sum(wts, density(pts))
+    total = point_path(pair_to_density(s1, s2, q))
     assert total != 0
-    assert inner(s1, s2, q) == complex(total)
+    assert inner(s1, s2, q) == total
+
+
+@pytest.mark.parametrize("sig", [(1, 0), (0, 1)], ids=["1-0", "0-1"])
+def test_disjoint_gamma_supports_pair_to_exact_zeros(sig):
+    # rows whose gamma supports miss (gap) or touch (one point) put all nodes at the gap midpoint
+    measure = InvariantMeasure(SignatureSpec(*sig), 1.0)
+    sign = 1.0 if sig == (1, 0) else -1.0
+    s = simple_state(gc=sign * 2.0, gw=0.5, measure=measure)
+    for gc in (3.0, 4.0):
+        other = simple_state(0.7 - 0.2j, gc=sign * gc, gw=0.5, measure=measure)
+        density = pair_to_density(s, other, QUAD)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.all(density(np.array([[-0.3], [0.0], [0.5]])) == 0)
+            assert inner(s, other, QUAD) == 0
 
 
 @pytest.mark.parametrize(
@@ -206,7 +230,7 @@ def test_four_block_pairs_agree_and_pull_back_unitarily(rng):
         s1, s2 = overlapping_pair(rng, 4, 2)
         a = inner(s1, s2, q)
         assert a != 0
-        assert abs(pair_to_density(s1, s2, q).integrate() - a) < 1e-12 * abs(a)
+        assert abs(point_path(pair_to_density(s1, s2, q)) - a) < 1e-12 * abs(a)
         assert abs(joint_inner(s1, s2, q) - a) < 1e-12 * abs(a)
         scale = norm(s1, q) * norm(s2, q)
         for theta in DEFAULT_CATALOG:

@@ -128,6 +128,19 @@ def test_orthonormal_family_and_basis_elements():
         basis_element(y, 9, MEAS, QUAD)
 
 
+@pytest.mark.parametrize("spec", [SignatureSpec(1, 0), SignatureSpec(0, 1)], ids=["1-0", "0-1"])
+def test_basis_element_is_the_member_of_the_full_family(spec):
+    # basis_element builds members 0..index only; Gram-Schmidt is sequential, so they are the same floats
+    measure = InvariantMeasure(spec, 1.3)
+    y = point_set(1.0, -0.5)
+    family = orthonormal_family(FiberSpace(measure, y.n), 4, QUAD)
+    for index, member in enumerate(family):
+        assert basis_element(y, index, measure, QUAD) == SparseSection(y.n, measure, ((y, member),))
+    for index in (-1, 4):
+        with pytest.raises(IndexError):
+            basis_element(y, index, measure, QUAD)
+
+
 def test_orthonormal_family_two_blocks():
     fiber = FiberSpace(MEAS, 2)
     fam = orthonormal_family(fiber, 2, QUAD)
