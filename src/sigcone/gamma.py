@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import QuadConfig, box_corners, gl_rule, grid_product, rule_sum, tensor_rule
+from .quadrature import QuadConfig, box_corners, gl_rule, grid_product, rule_sum, slab_sum, tensor_rule
 
 DEGENERACY_FLOOR = 1e-14
 SUPPORT_DET_FLOOR = 1e-8
@@ -238,14 +238,33 @@ def invariant_dot(det: np.ndarray, wts: np.ndarray, vals: np.ndarray, measure: I
     return rule_sum(wts, np.multiply(vals, weight, out=vals))
 
 
+def separable_quad(nodes, wts, vals, measure: InvariantMeasure):
+    """rule_sum of prod(vals) * prod(wts) against the density over the tensor grid of per-axis nodes.
+
+    nodes, wts and vals hold one array per vech axis.  The grid is summed one
+    slab_sum slab at a time: det from vech_det on np.ix_ of the slab's nodes,
+    values and weights multiplied over the slab by grid_product, so the total
+    equals invariant_dot of the whole raveled grid bit for bit and no m**dim
+    array is built.  The arrays in vals may be overwritten.
+    """
+
+    def slab(i: int, j: int):
+        det = vech_det(np.ix_(nodes[0][i:j], *nodes[1:]), measure.spec.n)
+        w = grid_product((wts[0][i:j], *wts[1:]))
+        v = grid_product((vals[0][i:j], *vals[1:]))
+        return invariant_dot(np.ravel(det), np.ravel(w), np.ravel(v), measure)
+
+    return slab_sum(len(nodes[0]), len(nodes), slab)
+
+
 def integrate_gamma(f, measure: InvariantMeasure, quad: QuadConfig) -> complex:
     """Integral of f against the invariant measure.
 
     f must expose integrand_pieces() yielding (lo, hi, factors) in vech
     coordinates: a piece is factors[0](v0) * factors[1](v1) * ... on its box
     and zero outside.  Each factor is evaluated on its axis' Gauss-Legendre
-    nodes, and grid_product multiplies them (and the weights) over the tensor
-    grid; no point grid is built, and the factors' arrays may be overwritten.
+    nodes, and separable_quad sums the piece slab by slab; the factors'
+    arrays may be overwritten.
     The box is the support contract: check_support must certify the whole box
     inside the cone with |det| >= 1e-8, once per piece and before any node is
     evaluated, or SupportError is raised.
@@ -257,9 +276,7 @@ def integrate_gamma(f, measure: InvariantMeasure, quad: QuadConfig) -> complex:
     m, total = quad.nodes_per_dim, 0.0 + 0.0j
     for lo, hi, factors in f.integrand_pieces():
         nodes, wts = zip(*(gl_rule(l, h, m) for l, h in zip(lo, hi)))
-        vals = np.ravel(grid_product([fac(x) for fac, x in zip(factors, nodes)]))
-        det = np.ravel(vech_det(np.ix_(*nodes), measure.spec.n))
-        total += invariant_dot(det, np.ravel(grid_product(wts)), vals, measure)
+        total += separable_quad(nodes, wts, [fac(x) for fac, x in zip(factors, nodes)], measure)
     return complex(total)
 
 
@@ -278,27 +295,41 @@ def verify_invariance(f, g: GlElement, measure: InvariantMeasure, quad: QuadConf
     pointwise, left to right, into the first factor's array (which must have
     the product's dtype), at the congruence images of the nodes of a dense
     rule over the bounding box of the transformed support, nodes unrelated to
-    the left-hand side's.  That support, g^T supp(f) g, has |det| scaled by
-    det(g)^2, so f certified at floor * max(1, det(g)^-2) covers both sides;
-    the bounding box may cross det = 0 and gets no certificate of its own.
+    the left-hand side's.  It sums that rule one slab_sum slab at a time, each
+    slab's points its first-axis nodes times the tensor_rule points of the
+    other axes, and sets det to 1 where the integrand is 0.  That support,
+    g^T supp(f) g, has |det| scaled by det(g)^2, so f certified at
+    floor * max(1, det(g)^-2) covers both sides; the bounding box may cross
+    det = 0 and gets no certificate of its own.
     """
     floor = SUPPORT_DET_FLOOR * max(1.0, float(det_stack(g.matrix)) ** -2)
     for lo, hi, _ in f.integrand_pieces():
         check_support(lo, hi, measure.spec, floor)
     lhs = integrate_gamma(f, measure, quad)
     vech_map = congruence_vech_matrix(g.inverse, measure.spec.n)
+    m, dim = quad.nodes_per_dim, measure.spec.dim
     rhs = 0.0 + 0.0j
     for lo, hi, factors in f.integrand_pieces():
         img = box_corners(lo, hi) @ np.linalg.inv(vech_map).T
-        pts, wts = tensor_rule(img.min(axis=0), img.max(axis=0), quad.nodes_per_dim)
-        mapped = pts @ vech_map.T
-        vals = factors[0](mapped[:, 0])
-        for k in range(1, len(factors)):
-            vals *= factors[k](mapped[:, k])
-        del mapped  # freed before det is allocated
-        det = vech_det(pts.T, measure.spec.n)
-        det[vals == 0] = 1.0
-        rhs += invariant_dot(det, wts, vals, measure)
+        box_lo, box_hi = img.min(axis=0), img.max(axis=0)
+        (x0, w0), *rest = (gl_rule(l, h, m) for l, h in zip(box_lo, box_hi))
+        other = tensor_rule(box_lo[1:], box_hi[1:], m)[0] if dim > 1 else np.empty((1, 0))
+
+        def slab(i: int, j: int):
+            pts = np.empty((j - i, len(other), dim))
+            pts[..., 0] = x0[i:j, None]
+            pts[..., 1:] = other
+            pts = pts.reshape(-1, dim)
+            mapped = pts @ vech_map.T
+            vals = factors[0](mapped[:, 0])
+            for k in range(1, len(factors)):
+                vals *= factors[k](mapped[:, k])
+            det = vech_det(pts.T, measure.spec.n)
+            det[vals == 0] = 1.0
+            wts = np.ravel(grid_product([w0[i:j], *(w for _, w in rest)]))
+            return invariant_dot(det, wts, vals, measure)
+
+        rhs += slab_sum(m, dim, slab)
     rhs = complex(rhs)
     rel = abs(lhs - rhs) / max(abs(lhs), 1e-300)
     return InvarianceReport(lhs=lhs, rhs=rhs, rel_err=rel, nodes=quad.nodes_per_dim)

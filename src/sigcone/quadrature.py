@@ -16,6 +16,11 @@ from numpy.polynomial.legendre import leggauss
 
 Box = tuple[np.ndarray, np.ndarray]
 
+# The most points a slab_sum slab holds where its rows can still be halved.  The largest slab array (4096 x 3
+# oracle points, 96 KiB) stays below glibc's default 128 KiB mmap threshold, so slab arrays come from the heap
+# instead of fresh zero pages faulted in on every call.
+SLAB_POINTS = 4096
+
 
 @dataclass(frozen=True)
 class QuadConfig:
@@ -49,6 +54,25 @@ def gl_rule(lo: float, hi: float, m: int) -> tuple[np.ndarray, np.ndarray]:
 def rule_sum(wts: np.ndarray, vals: np.ndarray):
     """Sum of vals * wts over the last axis, in place in vals: NumPy's reduction, not a threaded BLAS dot."""
     return np.multiply(vals, wts, out=vals).sum(axis=-1)
+
+
+def slab_sum(m: int, dim: int, slab_total: Callable[[int, int], complex]):
+    """The rule_sum of an m**dim tensor grid, one slab of first-axis rows at a time.
+
+    slab_total(i, j) returns the rule_sum of rows i:j raveled.  A slab of more
+    than SLAB_POINTS points is halved while each half is a whole number of
+    rows holding a multiple of 8 values: there NumPy's pairwise sum halves the
+    whole raveled grid too, so the total equals its rule_sum bit for bit.
+    """
+    row = m ** (dim - 1)
+
+    def total(i: int, rows: int):
+        half = rows // 2
+        if rows * row > SLAB_POINTS and rows % 2 == 0 and half * row % 8 == 0:
+            return total(i, half) + total(i + half, half)
+        return slab_total(i, i + rows)
+
+    return total(0, m)
 
 
 def quad_1d(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, m: int) -> complex:

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -17,8 +18,9 @@ from sigcone.fibers import (
     product_bump,
     pushforward_product_check,
 )
-from sigcone.gamma import InvariantMeasure, SignatureSpec
-from sigcone.quadrature import QuadConfig, quad_1d
+from sigcone.gamma import InvariantMeasure, SignatureSpec, invariant_dot, vech_det
+from sigcone.harness import random_cone_expansion
+from sigcone.quadrature import QuadConfig, gl_rule, grid_product, intersect_interval, quad_1d, tensor_rule
 
 QUAD = QuadConfig(48)
 MEAS = InvariantMeasure(SignatureSpec(1, 0), 1.0)
@@ -136,6 +138,45 @@ def test_fiber_inner_sesquilinear_and_positive(rng):
     assert abs(fiber_inner(f, f, fiber, QUAD).imag) < 1e-16
     z = f + f.scaled(-1.0)
     assert fiber_norm(z, fiber, QUAD) < 1e-12
+
+
+def tensor_rule_fiber_inner(f1, f2, measure, m):
+    """One-block fiber_inner with each block's det taken at the points of its tensor rule."""
+    total = 0.0 + 0.0j
+    for t1 in f1.terms:
+        for t2 in f2.terms:
+            ivs = [intersect_interval(a.lo, a.hi, b.lo, b.hi) for a, b in zip(t1.factors, t2.factors)]
+            if None in ivs:
+                continue
+            pts, wts = tensor_rule(np.array([iv[0] for iv in ivs]), np.array([iv[1] for iv in ivs]), m)
+            nodes = [gl_rule(lo, hi, m)[0] for lo, hi in ivs]
+            vals = np.ravel(grid_product([a(x) * b(x) for a, b, x in zip(t1.factors, t2.factors, nodes)]))
+            block = float(invariant_dot(vech_det(pts.T, measure.spec.n), wts, vals, measure))
+            total += np.conj(t1.coeff) * t2.coeff * block
+    return complex(total)
+
+
+@pytest.mark.parametrize("sig", [(2, 0), (1, 1)])
+def test_fiber_inner_n2_equals_the_tensor_rule_sum(sig):
+    spec = SignatureSpec(*sig)
+    rng = np.random.default_rng(48 + sig[0])
+    meas = InvariantMeasure(spec, 1.4)
+    f1, f2 = random_cone_expansion(spec, rng, 2), random_cone_expansion(spec, rng, 2)
+    assert fiber_inner(f1, f2, FiberSpace(meas), QUAD) == tensor_rule_fiber_inner(f1, f2, meas, 48)
+
+
+def test_fiber_inner_n2_builds_no_whole_grid_array():
+    """Each block sums slab by slab; at 48 nodes one whole-grid array of values alone takes 0.84 MiB."""
+    spec = SignatureSpec(2, 0)
+    meas = InvariantMeasure(spec, 1.0)
+    f = random_cone_expansion(spec, np.random.default_rng(20), 2)
+    tracemalloc.start()
+    try:
+        fiber_inner(f, f, FiberSpace(meas), QUAD)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_fiber_inner_dimension_mismatch():

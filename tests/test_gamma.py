@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -199,7 +200,7 @@ def test_integrate_gamma_per_axis_equals_pointwise_rule_sum(sig, n_terms):
     meas = InvariantMeasure(spec, float(rng.uniform(0.5, 2.0)))
     f = random_cone_expansion(spec, rng, n_terms)
     assert all(t.coeff.imag != 0 for t in f.terms)
-    for m in (16, 32):
+    for m in (16, 32, 33, 48):
         want = 0.0 + 0.0j
         for t in f.terms:
             pts, wts = tensor_rule(*t.box(), m)
@@ -233,6 +234,22 @@ def test_integrate_gamma_builds_no_point_grid(sig, monkeypatch):
 
     monkeypatch.setattr(gamma, "tensor_rule", refuse)
     assert integrate_gamma(f, meas, QuadConfig(24)) == want
+
+
+def test_verify_invariance_builds_no_whole_grid_array():
+    """Both sides sum slab by slab; at 64 nodes one whole-grid array of complex values alone takes 4 MiB."""
+    spec = SignatureSpec(1, 1)
+    rng = np.random.default_rng(64)
+    meas = InvariantMeasure(spec, 1.2)
+    f = random_cone_expansion(spec, rng, 2)
+    g = random_gl(2, rng, spread=0.18)
+    tracemalloc.start()
+    try:
+        verify_invariance(f, g, meas, QuadConfig(64))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def masked_oracle_rhs(f, g, meas, m):

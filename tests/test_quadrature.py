@@ -8,6 +8,7 @@ import pytest
 from scipy.integrate import quad as sciquad
 
 import sigcone
+from sigcone import quadrature
 from sigcone.quadrature import (
     QuadConfig,
     box_corners,
@@ -18,6 +19,7 @@ from sigcone.quadrature import (
     intersect_interval,
     quad_1d,
     rule_sum,
+    slab_sum,
     tensor_rule,
 )
 
@@ -85,6 +87,32 @@ def test_rule_sum_does_not_depend_on_blas_threads(m):
                               check=True)
         totals.add(proc.stdout)
     assert len(totals) == 1
+
+
+@pytest.mark.parametrize("slab_points", [None, 128, 1024])  # NumPy stops halving at 128 scalars
+@pytest.mark.parametrize("dim", [1, 3])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_slab_sum_equals_rule_sum_of_the_whole_grid(slab_points, dim, dtype, monkeypatch):
+    if slab_points is not None:
+        monkeypatch.setattr(quadrature, "SLAB_POINTS", slab_points)
+    for m in (2, 3, 5, 6, 24, 33, 48, 64, 100):  # m = 6: 3 rows of 36 values are no multiple of 8
+        rng = np.random.default_rng(100 * m + dim)
+        # magnitudes spread over 17 decades, so that a different summation order rounds differently
+        wts = rng.uniform(0.0, 1.0, m**dim)
+        vals = (rng.uniform(-1.0, 1.0, m**dim) * np.exp(rng.uniform(-20.0, 20.0, m**dim))).astype(dtype)
+        if dtype is complex:
+            vals += 1j * rng.uniform(-1.0, 1.0, m**dim) * np.exp(rng.uniform(-20.0, 20.0, m**dim))
+        row, slabs = m ** (dim - 1), []
+
+        def slab_total(i, j):
+            slabs.append((i, j))
+            return rule_sum(wts[i * row : j * row], vals[i * row : j * row].copy())
+
+        got = slab_sum(m, dim, slab_total)
+        assert got == rule_sum(wts, vals.copy())
+        assert [i for i, _ in slabs] == [0] + [j for _, j in slabs[:-1]] and slabs[-1][1] == m
+        if m == 64 and dim == 3:
+            assert slabs == [(i, i + 1) for i in range(m)]  # one 4096-point row per slab
 
 
 def test_tensor_rule_factorizes():

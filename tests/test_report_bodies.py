@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import sigcone
-
+from sigcone import quadrature
 from sigcone.harness import SUITE_NAMES, default_config, run_suite, write_report
 
 PINNED = {
@@ -47,6 +47,16 @@ def test_report_body_matches_pinned_hash(name, tmp_path):
     write_report(path, result)
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digest == PINNED[name], f"report body of suite {name!r} changed"
+
+
+# the two suites with the largest slab-summed grids; no slab boundary may reach a report body
+@pytest.mark.parametrize("name", ["measure-invariance", "density-axioms"])
+def test_report_body_does_not_depend_on_the_slab_size(name, tmp_path, monkeypatch):
+    monkeypatch.setattr(quadrature, "SLAB_POINTS", 128)
+    result = run_suite(name, default_config(name, seed=20240613, trials=min(default_config(name).trials, 3)))
+    path = tmp_path / f"{name}.report.jsonl"
+    write_report(path, result)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED[name]
 
 
 def _body(tmp_path: Path, name: str, blas_threads: int) -> bytes:
