@@ -9,6 +9,7 @@ every increasing diffeomorphism of the line acts on subsets point by point.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -29,8 +30,9 @@ class ChartDomainError(ValueError):
     """A point set does not place exactly one point in every chart box."""
 
 
-def _points(points) -> tuple[Point, ...]:
-    """The one point validator: float tuples of one dimension, finite, separated."""
+def _points(points) -> tuple[tuple[Point, ...], tuple[Point, ...]]:
+    """The one point validator: float tuples of one dimension, finite, separated,
+    returned as given and in decreasing order, sorted once."""
     pts = tuple([tuple(map(float, p)) for p in points])
     if not pts:
         raise ValueError("need at least one point")
@@ -41,20 +43,29 @@ def _points(points) -> tuple[Point, ...]:
         raise ValueError("points of mixed dimension")
     if not all(map(math.isfinite, [x for p in pts for x in p])):
         raise ValueError("point coordinates must be finite")
-    if len(pts) > 1 and _min_separation(pts) <= MIN_POINT_SEPARATION:
+    desc = tuple(sorted(pts, reverse=True))
+    if len(desc) > 1 and _separation(desc) <= MIN_POINT_SEPARATION:
         raise DuplicatePointError("points closer than 1e-12 in max norm")
-    return pts
+    return pts, desc
 
 
 def _min_separation(pts: Sequence[Point]) -> float:
-    """The exact smallest pairwise max-norm distance, by a sort and a sweep from each
-    p that stops once q[0] - p[0] (a lower bound, growing along it) reaches the best."""
-    pts = sorted(pts)
+    """The exact smallest pairwise max-norm distance of points in any order."""
+    return _separation(sorted(pts, reverse=True))
+
+
+def _separation(desc: Sequence[Point]) -> float:
+    """_min_separation of points in decreasing order.  For d = 1 it is the smallest
+    gap between neighbours; for d > 1 a sweep from each p stops once p[0] - q[0]
+    (a lower bound, growing along it) reaches the best."""
+    if len(desc[0]) == 1:
+        (v,) = zip(*desc)
+        return min(map(operator.sub, v, v[1:]), default=math.inf)
     best = math.inf
-    for i, p in enumerate(pts):
-        for j in range(i + 1, len(pts)):
-            q = pts[j]
-            if q[0] - p[0] >= best:
+    for i, p in enumerate(desc):
+        for j in range(i + 1, len(desc)):
+            q = desc[j]
+            if p[0] - q[0] >= best:
                 break
             best = min(best, max(map(abs, map(operator.sub, p, q))))
     return best
@@ -67,7 +78,7 @@ class PointTuple:
     points: tuple[Point, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "points", _points(self.points))
+        object.__setattr__(self, "points", _points(self.points)[0])
 
 
 @dataclass(frozen=True)
@@ -81,7 +92,7 @@ class PointSet:
     canonical: tuple[Point, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "canonical", tuple(sorted(_points(self.canonical), reverse=True)))
+        object.__setattr__(self, "canonical", _points(self.canonical)[1])
 
     @property
     def n(self) -> int:
@@ -286,7 +297,7 @@ def induced_diffeo(theta: Callable, y: PointSet) -> PointSet:
     """Apply a 1-D diffeomorphism point by point and re-canonicalize."""
     if y.d != 1:
         raise ValueError("induced maps are implemented over the line")
-    return point_set(*np.asarray(theta(np.asarray(y.values)), float).tolist())
+    return PointSet(tuple([(v,) for v in np.asarray(theta(np.array(y.values)), float).tolist()]))
 
 
 # -- local charts ---------------------------------------------------------------
@@ -307,19 +318,23 @@ class Chart:
     moved: "Diffeo1D | ComposedDiffeo | None" = None
 
     def __post_init__(self) -> None:
-        lo = np.asarray(self.lo, float)
-        hi = np.asarray(self.hi, float)
-        if lo.shape != hi.shape or lo.ndim != 2:
+        dims = {len(c) if isinstance(c, (tuple, list, np.ndarray)) else 0 for c in (*self.lo, *self.hi)}
+        if len(self.lo) != len(self.hi) or len(dims) != 1 or not (d := dims.pop()):
             raise ValueError("boxes need matching (N, d) corner arrays")
-        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+        lo, hi = [a for c in self.lo for a in c], [b for c in self.hi for b in c]
+        if not all(map(math.isfinite, lo + hi)):
             raise ValueError("box corners must be finite")
-        if (lo >= hi).any():
+        if any(map(operator.ge, lo, hi)):
             raise ValueError("degenerate box")
-        boxes = list(zip(self.lo, self.hi))
-        for i, (lo_i, hi_i) in enumerate(boxes):
-            for lo_j, hi_j in boxes[i + 1:]:
-                if all([max(a, c) < min(b, e) for a, b, c, e in zip(lo_i, hi_i, lo_j, hi_j)]):
-                    raise ValueError("chart boxes must be pairwise disjoint")
+        if d == 1:
+            # open intervals sorted by lo meet somewhere exactly when two neighbours do
+            order = sorted(zip(lo, hi))
+            meet = any([a < b for (_, b), (a, _) in zip(order, order[1:])])
+        else:
+            meet = any([all(map(operator.lt, map(max, l1, l2), map(min, h1, h2)))
+                        for (l1, h1), (l2, h2) in itertools.combinations(zip(self.lo, self.hi), 2)])
+        if meet:
+            raise ValueError("chart boxes must be pairwise disjoint")
 
     @property
     def n(self) -> int:
@@ -334,7 +349,7 @@ class Chart:
             raise ChartDomainError("subset has the wrong size for this chart")
         chosen: list[Point] = []
         for k, (lo, hi) in enumerate(zip(self.lo, self.hi)):
-            inside = [p for p in y.canonical if all(a < x < b for a, x, b in zip(lo, p, hi))]
+            inside = [p for p in y.canonical if all(map(operator.lt, lo, p)) and all(map(operator.lt, p, hi))]
             if len(inside) != 1:
                 raise ChartDomainError(f"box {k} holds {len(inside)} points instead of 1")
             chosen.append(inside[0])
@@ -349,12 +364,11 @@ class Chart:
         flat = np.asarray(coords, float).reshape(self.n * self.d)
         if self.moved is not None:
             flat = np.asarray(self.moved(flat), float)
-        pts = []
-        for p, lo, hi in zip(flat.reshape(self.n, self.d).tolist(), self.lo, self.hi):
-            if not all(a < x < b for a, x, b in zip(lo, p, hi)):
-                raise ChartDomainError("coordinates fall outside the chart image")
-            pts.append(tuple(p))
-        return PointSet(tuple(pts))
+        d, flat = self.d, flat.tolist()
+        lo, hi = itertools.chain(*self.lo), itertools.chain(*self.hi)
+        if not (all(map(operator.lt, lo, flat)) and all(map(operator.lt, flat, hi))):
+            raise ChartDomainError("coordinates fall outside the chart image")
+        return PointSet(tuple([tuple(flat[k:k + d]) for k in range(0, len(flat), d)]))
 
     def permuted(self, order: Sequence[int]) -> "Chart":
         order = tuple(order)
@@ -383,10 +397,10 @@ def local_chart(y: PointSet, box_radius: float) -> Chart:
     """Axis-aligned boxes of a common radius around the points, canonical order."""
     if not box_radius > 0:
         raise ValueError("box radius must be positive")
-    if y.n > 1 and 2.0 * box_radius >= _min_separation(y.canonical):
+    if y.n > 1 and 2.0 * box_radius >= _separation(y.canonical):
         raise ValueError("boxes of this radius would intersect")
-    lo = tuple(tuple(x - box_radius for x in p) for p in y.canonical)
-    hi = tuple(tuple(x + box_radius for x in p) for p in y.canonical)
+    lo = tuple([tuple([x - box_radius for x in p]) for p in y.canonical])
+    hi = tuple([tuple([x + box_radius for x in p]) for p in y.canonical])
     return Chart(lo, hi)
 
 
@@ -407,7 +421,8 @@ def jacobian_fd(func: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.n
         e[j] = 1.0
 
         def col(step: float) -> np.ndarray:
-            return (func(x + step * e) - func(x - step * e)) / (2.0 * step)
+            h = step * e
+            return (func(x + h) - func(x - h)) / (2.0 * step)
 
         c1, c2 = col(1e-4), col(1e-4 / 2.0)
         cols.append((4.0 * c2 - c1) / 3.0)

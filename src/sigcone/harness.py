@@ -250,9 +250,9 @@ def random_state(
 def random_point_set(rng: np.random.Generator, n: int) -> cfg.PointSet:
     """n seeded points in [-3, 3], pairwise more than 0.3 apart."""
     while True:
-        pts = np.sort(rng.uniform(-3.0, 3.0, size=n))[::-1]
-        if n == 1 or np.min(pts[:-1] - pts[1:]) > 0.3:
-            return cfg.PointSet(tuple((float(p),) for p in pts))
+        pts = sorted(rng.uniform(-3.0, 3.0, size=n).tolist(), reverse=True)
+        if n == 1 or min([a - b for a, b in zip(pts, pts[1:])]) > 0.3:
+            return cfg.PointSet(tuple([(p,) for p in pts]))
 
 
 def random_section(

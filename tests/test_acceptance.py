@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines including measured runtimes.
 """
 
+import hashlib
 import time
 from dataclasses import replace
 
@@ -13,6 +14,7 @@ from sigcone.harness import (
     default_config,
     random_state,
     run_suite,
+    write_report,
 )
 from sigcone.hspace import (
     HalfDensityState,
@@ -156,7 +158,12 @@ def test_criterion_8_kspace_axioms_and_density():
             f"axioms rows={len(axioms.rows)}, approx err*m={max(errs.values()):.3f}")
 
 
-def test_criterion_9_configuration_laws():
+# sha256 of the chart-atlas report body at its default config (10000 trials); test_report_bodies pins
+# only a 50-trial run, so this pin is what shows a change in the full-size body
+CHART_ATLAS_FULL_BODY = "d36f7a91e167801176bed573c3bdbd7be5c752d3e9b398d02821cbab041bad39"
+
+
+def test_criterion_9_configuration_laws(tmp_path):
     """Projection, charts, transitions, induced maps and block transport:
     exact or below 1e-10 over 10^4 seeded cases."""
     t0 = time.perf_counter()
@@ -165,3 +172,6 @@ def test_criterion_9_configuration_laws():
     ok = result.passed and elapsed < 30.0
     _report("criterion-9 configuration-manifold laws", ok, elapsed,
             f"{len(result.rows)} law groups, all exact or < 1e-10")
+    path = tmp_path / "chart-atlas.report.jsonl"
+    write_report(path, result)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == CHART_ATLAS_FULL_BODY, "full-size chart-atlas body changed"

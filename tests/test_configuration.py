@@ -123,6 +123,10 @@ def _point_lists(draw):
 @given(_point_lists())
 @example([(0.0,), (1e-12,)])
 @example([(0.0,), (np.nextafter(1e-12, 1.0),), (3.0,)])
+@example([(3.0,), (1e-12,), (-2.0,), (0.0,), (1.5,)])
+@example([(0.5,), (-1.0,), (np.nextafter(1e-12, 1.0),), (2.0,), (0.0,)])
+@example([(1.0,), (-0.0,), (2.0,), (0.0,)])
+@example([(-4.0,), (4.0,), (-1e-9,), (0.0,), (1e-9,)])
 @example([(2.0, 0.0), (2.0, np.nextafter(1e-12, 0.0)), (-1.0, 5.0)])
 @example([(1.0, 0.0, 2.0), (1.0, 0.0, 2.0 + 1e-9), (1.0, 3.0, 2.0)])
 def test_min_separation_matches_pairwise_oracle(pts):
@@ -135,6 +139,88 @@ def test_min_separation_matches_pairwise_oracle(pts):
         except DuplicatePointError:
             accepted = False
         assert accepted == (oracle > MIN_POINT_SEPARATION)
+
+
+def _refusal(build, values):
+    """The exception type build(values) raises, or None when it accepts them."""
+    try:
+        build(values)
+    except ValueError as err:
+        return type(err)
+    return None
+
+
+def _chart_holding(values):
+    """One open box per value, in input order, split at the midpoints of sorted neighbours; unit boxes
+    (k, k + 1) when the values are not finite and distinct, and one unit box for no values."""
+    s = sorted(values)
+    if not s or not all(map(math.isfinite, s)) or len(set(s)) < len(s):
+        n = max(len(values), 1)
+        return Chart(tuple((float(k),) for k in range(n)), tuple((k + 1.0,) for k in range(n)))
+    cuts = [s[0] - 1.0] + [0.5 * (a + b) for a, b in zip(s, s[1:])] + [s[-1] + 1.0]
+    box = {v: (cuts[i], cuts[i + 1]) for i, v in enumerate(s)}
+    return Chart(tuple((box[v][0],) for v in values), tuple((box[v][1],) for v in values))
+
+
+_D1_CONSTRUCTORS = {
+    "PointSet": lambda v: PointSet(tuple((x,) for x in v)),
+    "PointTuple": lambda v: PointTuple(tuple((x,) for x in v)),
+    "point_set": lambda v: point_set(*v),
+    "induced_diffeo": lambda v: induced_diffeo(lambda _: np.array(v, float), point_set(*range(max(len(v), 1)))),
+    "inverse_map": lambda v: _chart_holding(v).inverse_map(np.array(v, float)),
+}
+_BELOW, _ABOVE = np.nextafter(1e-12, 0.0), np.nextafter(1e-12, 1.0)
+
+
+# a near-floor pair (0.0, +-delta) is planted apart in an unsorted list, next to each other once sorted
+@pytest.mark.parametrize("values, refused, chart_refused", [
+    ([1.0, math.nan, -2.0], ValueError, ChartDomainError),
+    ([1.0, -2.0, math.inf], ValueError, ChartDomainError),
+    ([-math.inf, 0.5], ValueError, ChartDomainError),
+    ([], ValueError, ValueError),
+    ([3.0, -1.0, _BELOW, 2.0, 0.0, -2.5], DuplicatePointError, DuplicatePointError),
+    ([3.0, -1.0, 1e-12, 2.0, 0.0, -2.5], DuplicatePointError, DuplicatePointError),
+    ([3.0, -1.0, -1e-12, 2.0, 0.0, -2.5], DuplicatePointError, DuplicatePointError),
+    ([3.0, -1.0, _ABOVE, 2.0, 0.0, -2.5], None, None),
+    ([3.0, -1.0, -_ABOVE, 2.0, 0.0, -2.5], None, None),
+    ([2.0, 0.0, 1.0, -0.0], DuplicatePointError, ChartDomainError),
+])
+def test_d1_constructors_refuse_the_same_inputs(values, refused, chart_refused):
+    """PointSet, PointTuple, point_set and induced_diffeo validate through _points and raise one type;
+    inverse_map does too once its coordinates lie in the chart, and no chart of disjoint finite open
+    boxes holds a non-finite coordinate or two equal ones."""
+    for name, build in _D1_CONSTRUCTORS.items():
+        assert _refusal(build, values) is (chart_refused if name == "inverse_map" else refused), name
+
+
+def _open_boxes_meet(lo, hi):
+    """Oracle: some pair of open boxes shares a point, checked one pair at a time."""
+    return any(all(max(a, c) < min(b, e) for a, b, c, e in zip(lo[i], hi[i], lo[j], hi[j]))
+               for i in range(len(lo)) for j in range(i + 1, len(lo)))
+
+
+@st.composite
+def _intervals(draw):
+    """N = 1..6 open intervals in random order; ends on a half-integer grid repeat often, so shared
+    lower corners and touching ends hi_i == lo_j are common."""
+    end = st.integers(-8, 8).map(lambda k: k / 2) | st.floats(-4.0, 4.0)
+    lo = [draw(end) for _ in range(draw(st.integers(1, 6)))]
+    hi = [a + draw(st.sampled_from([0.5, 1.0, 2.0]) | st.floats(1e-6, 3.0)) for a in lo]
+    return [((a,), (b,)) for a, b in zip(lo, hi)]
+
+
+@given(_intervals())
+@example([((0.0,), (1.0,)), ((1.0,), (2.0,))])
+@example([((0.0,), (1.0,)), ((0.0,), (0.5,))])
+@example([((0.0,), (1.0,)), ((5.0,), (6.0,)), ((0.5,), (2.0,))])
+@example([((2.0,), (3.0,)), ((-1.0,), (0.0,)), ((0.0,), (2.0,)), ((3.0,), (3.5,))])
+def test_d1_chart_disjointness_matches_pairwise_oracle(boxes):
+    lo, hi = tuple(b[0] for b in boxes), tuple(b[1] for b in boxes)
+    if _open_boxes_meet(lo, hi):
+        with pytest.raises(ValueError, match="pairwise disjoint"):
+            Chart(lo, hi)
+    else:
+        assert Chart(lo, hi).n == len(boxes)
 
 
 def test_inverse_map_refuses_nan_coordinates():
