@@ -293,6 +293,11 @@ def sine(a: float) -> Diffeo1D:
     return Diffeo1D("sine", (a,))
 
 
+def pulled_back_metric(gamma, dtheta):
+    """The 1-D scalar product gamma pulled back through a map of derivative dtheta: theta'^2 gamma."""
+    return gamma * dtheta**2
+
+
 def induced_diffeo(theta: Callable, y: PointSet) -> PointSet:
     """Apply a 1-D diffeomorphism point by point and re-canonicalize."""
     if y.d != 1:
@@ -448,5 +453,5 @@ def block_pullback_vs_per_point(theta, y: PointSet, gammas: Sequence[float]):
     big = jac.T @ np.diag(np.asarray(gammas, float)) @ jac
     fd_blocks = np.diag(big).copy()
     off = big - np.diag(np.diag(big))
-    predicted = np.asarray(theta.deriv(x_pre)) ** 2 * np.asarray(gammas, float)
+    predicted = pulled_back_metric(np.asarray(gammas, float), np.asarray(theta.deriv(x_pre)))
     return fd_blocks, predicted, float(np.abs(off).max() if off.size else 0.0)

@@ -27,6 +27,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .configuration import pulled_back_metric
 from .fibers import BumpFunction, bump_values
 from .gamma import InvariantMeasure, check_support, invariant_dot
 from .quadrature import (QuadConfig, gl_rule, grid_product, hull_box, intersect_box, intersect_interval, rule_sum,
@@ -110,18 +111,17 @@ class PulledStateTerm:
             dmin, dmax = self.theta.deriv_range(float(xlo[k]), float(xhi[k]))
             if not dmin > 0.0:
                 raise ValueError("map is not a diffeomorphism on the pulled-back support")
-            cands = [glo[k] * dmin**2, glo[k] * dmax**2, ghi[k] * dmin**2, ghi[k] * dmax**2]
+            cands = [pulled_back_metric(g, d) for g in (glo[k], ghi[k]) for d in (dmin, dmax)]
             los[k], his[k] = min(cands), max(cands)
         return los, his
 
     def axes(self, xs: Sequence[np.ndarray], join) -> tuple[np.ndarray, list, list]:
         d = [self.theta.deriv(x) for x in xs]
         coeff, centers, widths = self.base.axes([self.theta(x) for x in xs], join)
-        s = [dk**2 for dk in d]
         return (
             coeff * join([np.sqrt(dk) for dk in d]),
-            [c * sk for c, sk in zip(centers, s)],
-            [w * sk for w, sk in zip(widths, s)],
+            [pulled_back_metric(c, dk) for c, dk in zip(centers, d)],
+            [pulled_back_metric(w, dk) for w, dk in zip(widths, d)],
         )
 
     def scaled(self, z: complex) -> "PulledStateTerm":

@@ -15,7 +15,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .configuration import PointSet, induced_diffeo
+from .configuration import PointSet, induced_diffeo, pulled_back_metric
 from .fibers import (
     BumpExpansion,
     BumpFunction,
@@ -109,14 +109,12 @@ def k_pullback(theta, s: SparseSection) -> SparseSection:
     new_entries = []
     for y, fib in s.entries:
         y_new = induced_diffeo(theta.inverse, y)
-        scales = np.asarray(theta.deriv(np.asarray(y_new.values))) ** 2
+        d = np.asarray(theta.deriv(np.asarray(y_new.values)))
         terms = []
         for t in fib.terms:
-            factors = tuple(
-                BumpFunction(f.center * scales[k], f.width * scales[k])
-                for k, f in enumerate(t.factors)
-            )
-            terms.append(BumpTerm(t.coeff, factors))
+            centers = pulled_back_metric(np.array([f.center for f in t.factors]), d)
+            widths = pulled_back_metric(np.array([f.width for f in t.factors]), d)
+            terms.append(BumpTerm(t.coeff, tuple(map(BumpFunction, centers, widths))))
         new_entries.append((y_new, BumpExpansion(fib.dims, tuple(terms))))
     return SparseSection(s.n_blocks, s.measure, tuple(new_entries))
 

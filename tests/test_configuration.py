@@ -421,6 +421,16 @@ def test_block_pullback_matches_per_point_law(theta, rng):
         assert off < 1e-10
 
 
+def test_one_metric_pull_back_is_checked_by_chart_atlas(monkeypatch):
+    """hspace and kspace scale gamma by the function chart-atlas checks, so scaling by theta' fails a suite row."""
+    from sigcone import configuration, harness, hspace, kspace
+
+    assert hspace.pulled_back_metric is kspace.pulled_back_metric is configuration.pulled_back_metric
+    monkeypatch.setattr(configuration, "pulled_back_metric", lambda gamma, dtheta: gamma * dtheta)
+    result = harness.run_suite("chart-atlas", harness.SuiteConfig(trials=50, nodes_per_dim=16))
+    assert [r.case_id for r in result.rows if not r.verdict] == ["block-pullback[10]"]
+
+
 def test_chart_injectivity(rng):
     y = point_set(0.0, 1.0, 2.5)
     chart = local_chart(y, 0.3)
