@@ -19,6 +19,7 @@ from .gamma import (
     InvariantMeasure,
     SignatureSpec,
     check_support,
+    invariant_dot,
     separable_quad,
 )
 # tensor_rule is unused here: sigbench's tracer test asserts it rebinds the sigcone.fibers.tensor_rule binding
@@ -60,6 +61,22 @@ def bump_values(centers: np.ndarray, widths: np.ndarray, u: np.ndarray) -> np.nd
     t.fill(0.0)
     t[inside] = v
     return t
+
+
+def bump_pair_integrals(c1, w1, c2, w2, measure: InvariantMeasure, m: int) -> np.ndarray:
+    """Per row of bump centers and widths, the integral of the two bumps' product against the n=1 density.
+
+    Each row takes gl_rule's nodes and weights on the intersection of its supports.  Where they miss or touch, the
+    half-width is 0 and the row exactly 0: both bumps vanish at the gap midpoint, where |gamma| > 0 between supports
+    certified on one half-line.
+    """
+    refx, refw = gl_rule(-1.0, 1.0, m)
+    lo, hi = np.maximum(c1 - w1, c2 - w2), np.minimum(c1 + w1, c2 + w2)
+    half = (0.5 * np.maximum(hi - lo, 0.0))[:, None]
+    g = (0.5 * (hi + lo))[:, None] + half * refx
+    f = bump_values(c1[:, None], w1[:, None], g)
+    f *= bump_values(c2[:, None], w2[:, None], g)
+    return invariant_dot(g, half * refw, f, measure)
 
 
 @dataclass(frozen=True)
@@ -162,18 +179,15 @@ def _block_quad(
     measure: InvariantMeasure,
     m: int,
 ) -> float:
-    """Integral over one block of the bump product against the density.
+    """Integral over one block of n >= 2 of the bump product against the density.
 
     Each bump factor depends on one axis, so separable_quad sums the product
     of the per-axis values over the support intersection.  Returns 0 when the
     supports do not overlap.
     """
-    lohi = []
-    for f1, f2 in zip(factors1, factors2):
-        iv = intersect_interval(f1.lo, f1.hi, f2.lo, f2.hi)
-        if iv is None:
-            return 0.0
-        lohi.append(iv)
+    lohi = [intersect_interval(f1.lo, f1.hi, f2.lo, f2.hi) for f1, f2 in zip(factors1, factors2)]
+    if None in lohi:
+        return 0.0
     nodes, wts = zip(*(gl_rule(lo, hi, m) for lo, hi in lohi))
     vals = [f1(x) * f2(x) for f1, f2, x in zip(factors1, factors2, nodes)]
     return float(separable_quad(nodes, wts, vals, measure))
@@ -183,8 +197,8 @@ def fiber_inner(f1: BumpExpansion, f2: BumpExpansion, fiber: FiberSpace, quad: Q
     """Inner product <f1|f2> in the product fiber space.
 
     The weight factorizes over blocks, so each term pair is a product of
-    per-block tensor quadratures over the support intersections.  Every
-    block of every term is certified by check_support first.
+    per-block quadratures (every n=1 block in one bump_pair_integrals call).
+    Every block of every term is certified by check_support first.
     """
     if f1.dims != fiber.gamma_dims or f2.dims != fiber.gamma_dims:
         raise ValueError(
@@ -192,15 +206,17 @@ def fiber_inner(f1: BumpExpansion, f2: BumpExpansion, fiber: FiberSpace, quad: Q
         )
     for t in f1.terms + f2.terms:
         check_support(*t.box(), fiber.spec)
+    m, pairs = quad.nodes_per_dim, [(t1, t2) for t1 in f1.terms for t2 in f2.terms]
+    if fiber.spec.n == 1:
+        rows = np.array([(a.center, a.width, b.center, b.width)
+                         for t1, t2 in pairs for a, b in zip(t1.factors, t2.factors)]).reshape(-1, 4)
+        blocks = bump_pair_integrals(*rows.T, fiber.measure, m).reshape(len(pairs), fiber.n_blocks).tolist()
+    else:
+        blocks = [[_block_quad(t1.factors[sl], t2.factors[sl], fiber.measure, m) for sl in fiber.block_slices()]
+                  for t1, t2 in pairs]
     total = 0.0 + 0.0j
-    for t1 in f1.terms:
-        for t2 in f2.terms:
-            prod = np.conj(t1.coeff) * t2.coeff
-            for sl in fiber.block_slices():
-                if prod == 0:
-                    break
-                prod *= _block_quad(t1.factors[sl], t2.factors[sl], fiber.measure, quad.nodes_per_dim)
-            total += prod
+    for (t1, t2), row in zip(pairs, blocks):
+        total += math.prod(row, start=np.conj(t1.coeff) * t2.coeff)
     return complex(total)
 
 

@@ -244,7 +244,7 @@ def separable_quad(nodes, wts, vals, measure: InvariantMeasure):
     nodes, wts and vals hold one array per vech axis.  The grid is summed one
     slab_sum slab at a time: det from vech_det on the slab's nodes, each axis
     reshaped to broadcast along its own grid axis, values and weights multiplied
-    over the slab by grid_product (one axis needs no product), so the total
+    over the slab by grid_product, so the total
     equals invariant_dot of the whole raveled grid bit for bit and no m**dim
     array is built.  The arrays in vals may be overwritten.
     """
@@ -252,8 +252,6 @@ def separable_quad(nodes, wts, vals, measure: InvariantMeasure):
     def slab(i: int, j: int):
         axes = (nodes[0][i:j], *nodes[1:])
         det = vech_det([x.reshape((-1,) + (1,) * (len(axes) - 1 - k)) for k, x in enumerate(axes)], measure.spec.n)
-        if len(axes) == 1:
-            return invariant_dot(det, wts[0][i:j], vals[0][i:j], measure)
         w = grid_product((wts[0][i:j], *wts[1:]))
         v = grid_product((vals[0][i:j], *vals[1:]))
         return invariant_dot(np.ravel(det), np.ravel(w), np.ravel(v), measure)

@@ -28,8 +28,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .configuration import pulled_back_metric
-from .fibers import BumpFunction, bump_values
-from .gamma import InvariantMeasure, check_support, invariant_dot
+from .fibers import BumpFunction, bump_pair_integrals, bump_values
+from .gamma import InvariantMeasure, check_support
 from .quadrature import (QuadConfig, gl_rule, grid_product, hull_box, intersect_box, intersect_interval, rule_sum,
                          tensor_rule)
 
@@ -196,26 +196,15 @@ def _columns(n_blocks: int, *arrays) -> list[list[np.ndarray]]:
 def _pair_gamma_integrals(t1, t2, xs: Sequence[np.ndarray], join, measure: InvariantMeasure, m: int) -> np.ndarray:
     """f-values of one term pair at x values given per block (see BumpStateTerm.axes).
 
-    Block k's gamma integral depends on x^k only, so it is taken once per
-    value in xs[k]: a 1-D quadrature over the intersection of the two
-    sections' supports, against the invariant density.  With grid_product as
-    the join, the blocks are broadcast along their grid axes.  Where the two
-    supports miss, half is 0 and every node sits at the gap midpoint: both
-    bumps are exactly 0 there, and |gamma| > 0 because the gap lies between
-    two certified supports on one half-line, so the row is exactly 0.
+    Block k's gamma integral depends on x^k only, so bump_pair_integrals takes
+    it once per value in xs[k].  With grid_product as the join, the blocks are
+    broadcast along their grid axes.
     """
-    refx, refw = gl_rule(-1.0, 1.0, m)
     c1, centers1, widths1 = t1.axes(xs, join)
     c2, centers2, widths2 = t2.axes(xs, join)
     vals = np.conj(c1) * c2
     for k, (ca, wa, cb, wb) in enumerate(zip(centers1, widths1, centers2, widths2)):
-        lo = np.maximum(ca - wa, cb - wb)
-        hi = np.minimum(ca + wa, cb + wb)
-        half = 0.5 * np.maximum(hi - lo, 0.0)
-        g = 0.5 * (hi + lo)[:, None] + half[:, None] * refx[None, :]
-        f = bump_values(ca[:, None], wa[:, None], g)
-        f = f * bump_values(cb[:, None], wb[:, None], g)
-        block = invariant_dot(g, refw, f, measure) * half
+        block = bump_pair_integrals(ca, wa, cb, wb, measure, m)
         # on a grid, block k varies along axis k; pointwise vals have one axis
         vals = vals * block.reshape(block.shape + (1,) * (vals.ndim - 1 - k))
     return vals

@@ -11,6 +11,7 @@ from sigcone.fibers import (
     FiberSpace,
     MonotoneMap,
     Weighted1D,
+    bump_pair_integrals,
     bump_values,
     fiber_inner,
     fiber_norm,
@@ -98,6 +99,71 @@ def test_fiber_inner_zero_and_disjoint():
     assert fiber_inner(f, BumpExpansion(1, ()), fiber, QUAD) == 0
     far = product_bump(1.0, [9.0], [0.5])
     assert fiber_inner(f, far, fiber, QUAD) == 0
+
+
+def n1_block(a, b, measure, m):
+    """One n=1 fiber block as its own loop: gl_rule on the support intersection, one rule sum against c/|gamma|."""
+    iv = intersect_interval(a.lo, a.hi, b.lo, b.hi)
+    if iv is None:
+        return 0.0
+    x, w = gl_rule(*iv, m)
+    return float(invariant_dot(np.array(x), w, a(x) * b(x), measure))
+
+
+def n1_fiber_inner(f1, f2, fiber, m):
+    """fiber_inner of an n=1 fiber as a left-to-right loop over term pairs and blocks."""
+    total = 0.0 + 0.0j
+    for t1 in f1.terms:
+        for t2 in f2.terms:
+            prod = np.conj(t1.coeff) * t2.coeff
+            for a, b in zip(t1.factors, t2.factors):
+                if prod == 0:
+                    break
+                prod *= n1_block(a, b, fiber.measure, m)
+            total += prod
+    return complex(total)
+
+
+def random_n1_expansion(rng, sign, n_blocks, n_terms):
+    return BumpExpansion(n_blocks, tuple(
+        BumpTerm(complex(*rng.normal(size=2)),
+                 tuple(BumpFunction(sign * rng.uniform(1.0, 3.0), rng.uniform(0.1, 0.9)) for _ in range(n_blocks)))
+        for _ in range(n_terms)))
+
+
+@pytest.mark.parametrize("m", [2, 16, 48, 96])
+@pytest.mark.parametrize("sig, scale_c", [((1, 0), 1.0), ((0, 1), 1.0), ((1, 0), 0.37), ((0, 1), 2.5)])
+def test_bump_pair_integrals_equal_the_block_loop_row_by_row(sig, scale_c, m):
+    measure = InvariantMeasure(SignatureSpec(*sig), scale_c)
+    rng = np.random.default_rng(m)
+    c, w = rng.uniform(1.5, 2.5, 12), rng.uniform(0.2, 0.8, 12)
+    cases = [
+        (c, w, c + rng.uniform(0.3, 0.9, 12) * w, rng.uniform(0.2, 0.8, 12)),  # overlapping
+        (c, w, c + rng.uniform(-0.1, 0.1, 12), 0.3 * w),  # nested
+        (c, w, c, w),  # identical
+        (np.array([1.5, 2.0, 2.25]), np.array([0.5, 0.25, 0.125]), np.full(3, 2.5), np.array([0.5, 0.25, 0.125])),
+        (c, w, c + 2.5, w),  # disjoint
+    ]
+    c1, w1, c2, w2 = (np.concatenate(col) for col in zip(*cases))
+    c1, c2 = (c1, c2) if sig[0] else (-c1, -c2)
+    touching = np.maximum(c1 - w1, c2 - w2) == np.minimum(c1 + w1, c2 + w2)
+    assert touching.tolist() == [False] * 36 + [True] * 3 + [False] * 12
+    got = bump_pair_integrals(c1, w1, c2, w2, measure, m)
+    want = [n1_block(BumpFunction(*a), BumpFunction(*b), measure, m) for a, b in zip(zip(c1, w1), zip(c2, w2))]
+    assert got.tolist() == want
+    assert np.all(got[:36] > 0.0) and np.all(got[36:] == 0.0)
+
+
+def test_fiber_inner_n1_equals_the_pair_and_block_loop():
+    rng = np.random.default_rng(22)
+    for sig, m in [((1, 0), 48), ((0, 1), 16)]:
+        measure = InvariantMeasure(SignatureSpec(*sig), 1.3)
+        for n_blocks in range(1, 5):
+            fiber = FiberSpace(measure, n_blocks)
+            for n1, n2 in [(0, 3), (1, 1), (2, 5), (9, 9), (4, 0)]:
+                f1 = random_n1_expansion(rng, 1.0 if sig[0] else -1.0, n_blocks, n1)
+                f2 = random_n1_expansion(rng, 1.0 if sig[0] else -1.0, n_blocks, n2)
+                assert fiber_inner(f1, f2, fiber, QuadConfig(m)) == n1_fiber_inner(f1, f2, fiber, m)
 
 
 def test_fiber_inner_tensor_factorization():

@@ -23,14 +23,14 @@ PINNED = {
     "measure-invariance": "4f6ba4f4253d8156010a9f914d8e621b7db038cf4b1b9fef9bd4a82d78775b00",
     "pushforward-product": "0d7125263c456b0bf0ed4853a9792af9f519b9fad4070eaf9a9323fc81b5cfae",
     "density-axioms": "541d7cb4321ebb9bab3dcbc67643aa1c47b3db7671aee67d3b2ef8e81b0b6d77",
-    "pairing-continuity": "772bda9005f3dfd1476c1c7b596850fa545960b7c1e5ac9b7c812759a68b2fbe",
-    "unitarity": "f072876a24ad3ae08e794e2cd70d0bc1537338e5131c4551775270156ac7ed64",
+    "pairing-continuity": "db4f3b707e97eb0b8882488d5ed6049fc2da8b8f3dd42582bc639f5c12a46d41",
+    "unitarity": "2887db0c5f8789c6762efd4c8ba7727550bd0eb9bbf7076eba2de10110fd8fe9",
     "representation-law": "308e0a38acdec5cf6bfceffce0e88bc24f52b1e4f33d44a071aed25ccd6e2330",
-    "rescaling": "3ab0d5c86aa4a2c708dc4bf230cc2cbdbefd522801837411a181e9f12ba05bda",
+    "rescaling": "9a8a4a09202a1745059a424cc78b3bec187b8332e6087f8798802b089f974b27",
     "counterexample": "111c4bea1886d81b2fb5db5c716585dd65f3c519ac1ada2bff7ef570d42dbd1f",
     "kspace-axioms": "cf82c29d03b26c500b56d98758e1dd91ffcb1e03878e09d9c9bde9d02917117f",
     "kspace-density": "1d26799942c084c9368f15b5d7ecefa2e4293dd60245c46bb07e9e67bf9a7cec",
-    "graded-orthogonality": "8cabf9e90a766da8a4d5f1ffb4af49c2deb41f11f02e49214cd6047164f06e9d",
+    "graded-orthogonality": "6ebcd68a0e53f69657769acd3cd36cdd692df911ed275c2ea676d9901cfe9461",
     "chart-atlas": "51d614cae0432ecf256d0f0d1cc9adf757d9a6d0d182fb8143f28384432295a7",
 }
 
