@@ -244,9 +244,9 @@ def separable_quad(nodes, wts, vals, measure: InvariantMeasure):
     nodes, wts and vals hold one array per vech axis.  The grid is summed one
     slab_sum slab at a time: det from vech_det on the slab's nodes, each axis
     reshaped to broadcast along its own grid axis, values and weights multiplied
-    over the slab by grid_product, so the total
-    equals invariant_dot of the whole raveled grid bit for bit and no m**dim
-    array is built.  The arrays in vals may be overwritten.
+    over the slab by grid_product, so the total equals invariant_dot of the
+    whole raveled grid bit for bit and no m**dim array is built.  The arrays
+    in vals may be overwritten.
     """
 
     def slab(i: int, j: int):
