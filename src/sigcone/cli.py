@@ -82,18 +82,22 @@ def _ladder(text: str) -> list[int]:
 
 
 def _cmd_study(args: argparse.Namespace, config: SuiteConfig) -> int:
-    rows = convergence_study(args.op_id, args.ladder, config)
-    print(f"{'nodes':>8} {'rel_err':>14}")
-    for r in rows:
-        print(f"{r.nodes:>8} {r.rel_err:>14.6e}")
-    decays = study_decays(rows)
-    print(f"decay: {'yes' if decays else 'NO'}")
+    rows, failures = [], 0
+    print(f"{'op_id':>24} {'nodes':>8} {'rel_err':>14}")
+    for op in STUDY_OPS if args.op_id == "all" else [args.op_id]:
+        op_rows = convergence_study(op, args.ladder, config)
+        for r in op_rows:
+            print(f"{op:>24} {r.nodes:>8} {r.rel_err:>14.6e}")
+        decays = study_decays(op_rows)
+        print(f"{op:>24} decay: {'yes' if decays else 'NO'}")
+        failures += not decays
+        rows += op_rows
     if args.out:
         path = Path(args.out)
         path.parent.mkdir(parents=True, exist_ok=True)
         lines = [f"{r.op_id} {r.nodes} {r.rel_err!r}" for r in rows]
         path.write_text("\n".join(lines) + "\n")
-    return 0 if decays else 1
+    return 1 if failures else 0
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -111,8 +115,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     p_verify.set_defaults(parser=p_verify, func=_cmd_verify)
 
-    p_study = sub.add_parser("study", help="error versus node count for one operation")
-    p_study.add_argument("op_id", choices=STUDY_OPS)
+    p_study = sub.add_parser("study", help="error versus node count for one operation, or for all")
+    p_study.add_argument("op_id", choices=(*STUDY_OPS, "all"))
     p_study.add_argument("--ladder", type=_ladder, default="16,32,64")
     p_study.add_argument("--seed", type=int)
     p_study.add_argument("--out")

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, partial, reduce
+from functools import cached_property, reduce
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -32,10 +32,6 @@ from .fibers import BumpFunction, bump_pair_integrals, bump_values
 from .gamma import InvariantMeasure, check_support
 from .quadrature import (QuadConfig, gl_rule, grid_product, hull_box, intersect_box, intersect_interval, rule_sum,
                          tensor_rule)
-
-# joins for BumpStateTerm.axes: the product at shared points (grid_product
-# gives it over a tensor grid; np.stack keeps the blocks apart for joint_inner)
-_POINTWISE = partial(reduce, np.multiply)
 
 
 @dataclass(frozen=True)
@@ -68,17 +64,17 @@ class BumpStateTerm:
             np.array([f.hi for f in self.g_factors]),
         )
 
-    def axes(self, xs: Sequence[np.ndarray], join) -> tuple[np.ndarray, list, list]:
+    def blocks(self, xs: Sequence[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """The term at x values given per block: xs[k] holds values of x^k.
 
-        Returns join([coeff * a_0(xs[0]), a_1(xs[1]), ...]) and, per block k,
-        the centers and widths of the gamma bump, shaped like xs[k].
+        Returns, per block k, (a_k(xs[k]), centers, widths): the x factor and
+        the gamma bump's center and width, shaped like xs[k].  The coefficient
+        is folded into block 0, so the term is the product of its blocks.
         """
-        factors = [f(x) for f, x in zip(self.x_factors, xs)]
-        factors[0] = self.coeff * factors[0]
-        centers = [np.full_like(x, f.center) for f, x in zip(self.g_factors, xs)]
-        widths = [np.full_like(x, f.width) for f, x in zip(self.g_factors, xs)]
-        return join(factors), centers, widths
+        a = [f(x) for f, x in zip(self.x_factors, xs)]
+        a[0] = self.coeff * a[0]
+        return [(ak, np.full_like(x, g.center), np.full_like(x, g.width))
+                for ak, g, x in zip(a, self.g_factors, xs)]
 
     def scaled(self, z: complex) -> "BumpStateTerm":
         return BumpStateTerm(z * self.coeff, self.x_factors, self.g_factors)
@@ -115,14 +111,12 @@ class PulledStateTerm:
             los[k], his[k] = min(cands), max(cands)
         return los, his
 
-    def axes(self, xs: Sequence[np.ndarray], join) -> tuple[np.ndarray, list, list]:
+    def blocks(self, xs: Sequence[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """The base term's blocks at theta(xs[k]), times sqrt(theta'), with the gamma bump pulled back."""
         d = [self.theta.deriv(x) for x in xs]
-        coeff, centers, widths = self.base.axes([self.theta(x) for x in xs], join)
-        return (
-            coeff * join([np.sqrt(dk) for dk in d]),
-            [pulled_back_metric(c, dk) for c, dk in zip(centers, d)],
-            [pulled_back_metric(w, dk) for w, dk in zip(widths, d)],
-        )
+        base = self.base.blocks([self.theta(x) for x in xs])
+        return [(a * np.sqrt(dk), pulled_back_metric(c, dk), pulled_back_metric(w, dk))
+                for (a, c, w), dk in zip(base, d)]
 
     def scaled(self, z: complex) -> "PulledStateTerm":
         return PulledStateTerm(self.base.scaled(z), self.theta)
@@ -168,10 +162,7 @@ class HalfDensityState:
         xs, gs = _columns(self.n_blocks, x, gamma)
         out = np.zeros(np.shape(x)[0], dtype=complex)
         for t in self.terms:
-            vals, centers, widths = t.axes(xs, _POINTWISE)
-            for c, w, g in zip(centers, widths, gs):
-                vals = vals * bump_values(c, w, g)
-            out += vals
+            out += reduce(np.multiply, [a * bump_values(c, w, g) for (a, c, w), g in zip(t.blocks(xs), gs)])
         return out
 
 
@@ -193,21 +184,12 @@ def _columns(n_blocks: int, *arrays) -> list[list[np.ndarray]]:
 # -- pairing and inner product -------------------------------------------------
 
 
-def _pair_gamma_integrals(t1, t2, xs: Sequence[np.ndarray], join, measure: InvariantMeasure, m: int) -> np.ndarray:
-    """f-values of one term pair at x values given per block (see BumpStateTerm.axes).
-
-    Block k's gamma integral depends on x^k only, so bump_pair_integrals takes
-    it once per value in xs[k].  With grid_product as the join, the blocks are
-    broadcast along their grid axes.
-    """
-    c1, centers1, widths1 = t1.axes(xs, join)
-    c2, centers2, widths2 = t2.axes(xs, join)
-    vals = np.conj(c1) * c2
-    for k, (ca, wa, cb, wb) in enumerate(zip(centers1, widths1, centers2, widths2)):
-        block = bump_pair_integrals(ca, wa, cb, wb, measure, m)
-        # on a grid, block k varies along axis k; pointwise vals have one axis
-        vals = vals * block.reshape(block.shape + (1,) * (vals.ndim - 1 - k))
-    return vals
+def _pair_blocks(t1, t2, xs: Sequence[np.ndarray], measure: InvariantMeasure, m: int) -> list[np.ndarray]:
+    """One term pair's gamma-paired integrand at x values given per block
+    (see BumpStateTerm.blocks), as one factor per block: block k's gamma
+    integral depends on x^k only, so it is taken once per value in xs[k]."""
+    return [np.conj(a1) * a2 * bump_pair_integrals(c1, w1, c2, w2, measure, m)
+            for (a1, c1, w1), (a2, c2, w2) in zip(t1.blocks(xs), t2.blocks(xs))]
 
 
 def pair_to_density(s1: HalfDensityState, s2: HalfDensityState, quad: QuadConfig) -> "PairedDensity":
@@ -235,7 +217,7 @@ class PairedDensity:
         out = np.zeros(np.shape(x)[0], dtype=complex)
         for t1 in self.s1.terms:
             for t2 in self.s2.terms:
-                out += _pair_gamma_integrals(t1, t2, xs, _POINTWISE, self.s1.measure, self.quad.nodes_per_dim)
+                out += reduce(np.multiply, _pair_blocks(t1, t2, xs, self.s1.measure, self.quad.nodes_per_dim))
         return out
 
 
@@ -243,9 +225,9 @@ def inner(s1: HalfDensityState, s2: HalfDensityState, quad: QuadConfig) -> compl
     """<s1|s2>: per term pair, x quadrature of the gamma-paired integrand.
 
     Each pair is integrated over the intersection of its own x boxes, which
-    keeps every bump fully resolved.  The integrand is evaluated per axis and
-    multiplied over the tensor grid, equal bit for bit to its values at the
-    grid points.
+    keeps every bump fully resolved.  The pair's block factors are evaluated
+    on their own axes and multiplied over the tensor grid, equal bit for bit
+    to PairedDensity at the grid points.
     """
     _check_compatible(s1, s2)
     m = quad.nodes_per_dim
@@ -257,7 +239,7 @@ def inner(s1: HalfDensityState, s2: HalfDensityState, quad: QuadConfig) -> compl
                 continue
             _, wts = tensor_rule(box[0], box[1], m)
             nodes = [gl_rule(lo, hi, m)[0] for lo, hi in zip(*box)]
-            total += rule_sum(wts, np.ravel(_pair_gamma_integrals(t1, t2, nodes, grid_product, s1.measure, m)))
+            total += rule_sum(wts, np.ravel(grid_product(_pair_blocks(t1, t2, nodes, s1.measure, m))))
     return complex(total)
 
 
@@ -282,15 +264,13 @@ def joint_inner(s1: HalfDensityState, s2: HalfDensityState, quad: QuadConfig) ->
                 continue
             xrules = [gl_rule(lo, hi, m) for lo, hi in xivs]
             xs = [xg for xg, _ in xrules]
-            xv1, centers1, widths1 = t1.axes(xs, np.stack)
-            xv2, centers2, widths2 = t2.axes(xs, np.stack)
             pair = 1.0 + 0.0j
-            for k, ((_, xw), giv) in enumerate(zip(xrules, givs)):
+            for (_, xw), giv, (a1, c1, w1), (a2, c2, w2) in zip(xrules, givs, t1.blocks(xs), t2.blocks(xs)):
                 gg, gw = gl_rule(giv[0], giv[1], m)
-                f1 = bump_values(centers1[k][:, None], widths1[k][:, None], gg[None, :])
-                f2 = bump_values(centers2[k][:, None], widths2[k][:, None], gg[None, :])
+                f1 = bump_values(c1[:, None], w1[:, None], gg[None, :])
+                f2 = bump_values(c2[:, None], w2[:, None], gg[None, :])
                 grid = f1 * f2 * (s1.measure.scale_c / np.abs(gg))[None, :]
-                grid = grid * (np.conj(xv1[k]) * xv2[k])[:, None]
+                grid = grid * (np.conj(a1) * a2)[:, None]
                 pair *= complex(rule_sum(xw, rule_sum(gw, grid)))
             total += pair
     return complex(total)

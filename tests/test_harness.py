@@ -9,6 +9,7 @@ from sigcone import configuration, densities, harness, hspace
 from sigcone.cli import main
 from sigcone.configuration import Diffeo1D
 from sigcone.harness import (
+    STUDY_OPS,
     ReportRow,
     SuiteConfig,
     SuiteResult,
@@ -269,6 +270,14 @@ def test_cli_study(tmp_path, capsys):
     assert code == 0
     assert "decay: yes" in capsys.readouterr().out
     assert out.exists()
+
+
+def test_cli_study_all_runs_every_operation(tmp_path, capsys):
+    out = tmp_path / "study.txt"
+    assert main(["study", "all", "--ladder", "8,12", "--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert all(f"{op} decay: yes" in printed for op in STUDY_OPS)
+    assert [line.split()[0] for line in out.read_text().splitlines()] == [op for op in STUDY_OPS for _ in (8, 12)]
 
 
 def test_cli_rejects_unknown_suite():

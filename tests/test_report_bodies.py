@@ -23,10 +23,10 @@ PINNED = {
     "measure-invariance": "4f6ba4f4253d8156010a9f914d8e621b7db038cf4b1b9fef9bd4a82d78775b00",
     "pushforward-product": "0d7125263c456b0bf0ed4853a9792af9f519b9fad4070eaf9a9323fc81b5cfae",
     "density-axioms": "541d7cb4321ebb9bab3dcbc67643aa1c47b3db7671aee67d3b2ef8e81b0b6d77",
-    "pairing-continuity": "db4f3b707e97eb0b8882488d5ed6049fc2da8b8f3dd42582bc639f5c12a46d41",
-    "unitarity": "2887db0c5f8789c6762efd4c8ba7727550bd0eb9bbf7076eba2de10110fd8fe9",
-    "representation-law": "308e0a38acdec5cf6bfceffce0e88bc24f52b1e4f33d44a071aed25ccd6e2330",
-    "rescaling": "9a8a4a09202a1745059a424cc78b3bec187b8332e6087f8798802b089f974b27",
+    "pairing-continuity": "f9d37f6a16b66fa603751a3bcbe8c04403c305bd52e483829c1a92e1d9e7982d",
+    "unitarity": "aac32f71e21d5fa2bdba679efc5b5d11e67c22f5540c7098282449ba7fe93685",
+    "representation-law": "a42c52e136e6dd94203c15d25575413f4a435ec8b8b103c4f1f23e9b34d20756",
+    "rescaling": "fdf386cad8e448a4ff7665e3ef1d7027dc78e372e16c6e2a4faaf6f9c7cb73e6",
     "counterexample": "111c4bea1886d81b2fb5db5c716585dd65f3c519ac1ada2bff7ef570d42dbd1f",
     "kspace-axioms": "cf82c29d03b26c500b56d98758e1dd91ffcb1e03878e09d9c9bde9d02917117f",
     "kspace-density": "1d26799942c084c9368f15b5d7ecefa2e4293dd60245c46bb07e9e67bf9a7cec",

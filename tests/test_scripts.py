@@ -20,7 +20,6 @@ def run_script(name, *args, cwd):
 
 @pytest.mark.parametrize("name, args", [
     ("divergence_profile.py", ["--kmin", "4", "--kmax", "6"]),
-    ("convergence_ladders.py", ["--ladder", "8,12"]),
 ])
 def test_script_runs(name, args, tmp_path):
     proc = run_script(name, *args, cwd=tmp_path)
