@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import argparse
+import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .harness import (
@@ -21,18 +21,19 @@ from .harness import (
 
 
 def _load_config(suite: str, args: argparse.Namespace) -> SuiteConfig:
-    if args.config:
-        config = SuiteConfig.loads(Path(args.config).read_text())
-    else:
-        config = default_config(suite)
+    """The suite's default config with the keys the --config file names, then the flags, put over it."""
     overrides = {}
+    if args.config:
+        text = Path(args.config).read_text()
+        loaded = SuiteConfig.loads(text)
+        overrides = {key: getattr(loaded, key) for key in json.loads(text)}
     if args.seed is not None:
         overrides["seed"] = args.seed
     if args.nodes is not None:
         overrides["nodes_per_dim"] = args.nodes
     if args.trials is not None:
         overrides["trials"] = args.trials
-    return replace(config, **overrides) if overrides else config
+    return default_config(suite, **overrides)
 
 
 def _report_path(args: argparse.Namespace, config: SuiteConfig, name: str) -> Path:

@@ -28,10 +28,9 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .configuration import pulled_back_metric
-from .fibers import BumpFunction, bump_pair_integrals, bump_values
+from .fibers import BumpFunction, bump_box, bump_pair_integrals, bump_values
 from .gamma import InvariantMeasure, check_support
-from .quadrature import (QuadConfig, gl_rule, grid_product, hull_box, intersect_box, intersect_interval, rule_sum,
-                         tensor_rule)
+from .quadrature import QuadConfig, gl_rule, grid_product, hull_box, intersect_box, quad_1d, rule_sum, tensor_rule
 
 
 @dataclass(frozen=True)
@@ -52,17 +51,11 @@ class BumpStateTerm:
 
     @cached_property
     def x_box(self) -> tuple[np.ndarray, np.ndarray]:
-        return (
-            np.array([f.lo for f in self.x_factors]),
-            np.array([f.hi for f in self.x_factors]),
-        )
+        return bump_box(self.x_factors)
 
     @cached_property
     def gamma_box(self) -> tuple[np.ndarray, np.ndarray]:
-        return (
-            np.array([f.lo for f in self.g_factors]),
-            np.array([f.hi for f in self.g_factors]),
-        )
+        return bump_box(self.g_factors)
 
     def blocks(self, xs: Sequence[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """The term at x values given per block: xs[k] holds values of x^k.
@@ -256,17 +249,15 @@ def joint_inner(s1: HalfDensityState, s2: HalfDensityState, quad: QuadConfig) ->
     total = 0.0 + 0.0j
     for t1 in s1.terms:
         for t2 in s2.terms:
-            (xlo1, xhi1), (xlo2, xhi2) = t1.x_box, t2.x_box
-            (glo1, ghi1), (glo2, ghi2) = t1.gamma_box, t2.gamma_box
-            xivs = [intersect_interval(*b) for b in zip(xlo1, xhi1, xlo2, xhi2)]
-            givs = [intersect_interval(*b) for b in zip(glo1, ghi1, glo2, ghi2)]
-            if None in xivs or None in givs:
+            xbox = intersect_box(*t1.x_box, *t2.x_box)
+            gbox = intersect_box(*t1.gamma_box, *t2.gamma_box)
+            if xbox is None or gbox is None:
                 continue
-            xrules = [gl_rule(lo, hi, m) for lo, hi in xivs]
+            xrules = [gl_rule(lo, hi, m) for lo, hi in zip(*xbox)]
+            grules = [gl_rule(lo, hi, m) for lo, hi in zip(*gbox)]
             xs = [xg for xg, _ in xrules]
             pair = 1.0 + 0.0j
-            for (_, xw), giv, (a1, c1, w1), (a2, c2, w2) in zip(xrules, givs, t1.blocks(xs), t2.blocks(xs)):
-                gg, gw = gl_rule(giv[0], giv[1], m)
+            for (_, xw), (gg, gw), (a1, c1, w1), (a2, c2, w2) in zip(xrules, grules, t1.blocks(xs), t2.blocks(xs)):
                 f1 = bump_values(c1[:, None], w1[:, None], gg[None, :])
                 f2 = bump_values(c2[:, None], w2[:, None], gg[None, :])
                 grid = f1 * f2 * (s1.measure.scale_c / np.abs(gg))[None, :]
@@ -289,13 +280,11 @@ def pullback(theta, s: HalfDensityState) -> HalfDensityState:
     return HalfDensityState(s.n_blocks, s.measure, tuple(PulledStateTerm(t, theta) for t in s.terms))
 
 
-def rescale_iso(s: HalfDensityState, c_old: float, c_new: float) -> HalfDensityState:
-    """The natural unitary onto the states of the measure with constant c_new."""
-    if not (c_old > 0 and c_new > 0):
+def rescale_iso(s: HalfDensityState, c_new: float) -> HalfDensityState:
+    """The natural unitary onto the states of the measure with constant c_new, from the state's own constant."""
+    if not c_new > 0:
         raise ValueError("measure constants must be positive")
-    if s.measure.scale_c != c_old:
-        raise ValueError("state does not carry the stated old constant")
-    factor = (c_new / c_old) ** (-s.n_blocks / 2)
+    factor = (c_new / s.measure.scale_c) ** (-s.n_blocks / 2)
     new_measure = InvariantMeasure(s.measure.spec, c_new)
     return HalfDensityState(s.n_blocks, new_measure, tuple(t.scaled(factor) for t in s.terms))
 
@@ -335,10 +324,12 @@ def counterexample_profile(eps_grid: Sequence[float], nodes: int = 200) -> list[
         x = float(x)
         if not 0.0 < x < 1.0:
             raise ValueError("profile is defined for 0 < x < 1")
-        s, w = gl_rule(0.0, -math.log(x), nodes)
-        g = np.exp(s)
-        vals = x * (g - 1.0) ** 2 * (1.0 - x * g) ** 2
-        rows.append((x, float(rule_sum(w, vals))))
+
+        def integrand(s):
+            g = np.exp(s)
+            return x * (g - 1.0) ** 2 * (1.0 - x * g) ** 2
+
+        rows.append((x, float(quad_1d(integrand, 0.0, -math.log(x), nodes))))
     return rows
 
 

@@ -22,6 +22,7 @@ from .fibers import (
     BumpTerm,
     FiberSpace,
     fiber_inner,
+    fiber_norm,
     product_bump,
 )
 from .gamma import InvariantMeasure, check_support
@@ -134,7 +135,7 @@ def orthonormal_family(fiber: FiberSpace, size: int, quad: QuadConfig) -> list[B
         for _ in range(2):
             for e in out:
                 v = v + e.scaled(-fiber_inner(e, v, fiber, quad))
-        nrm = math.sqrt(max(fiber_inner(v, v, fiber, quad).real, 0.0))
+        nrm = fiber_norm(v, fiber, quad)
         if nrm < 1e-10:
             raise ValueError("family member degenerated during orthogonalization")
         out.append(v.scaled(1.0 / nrm))

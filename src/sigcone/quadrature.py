@@ -76,6 +76,7 @@ def slab_sum(m: int, dim: int, slab_total: Callable[[int, int], complex]):
 
 
 def quad_1d(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, m: int) -> complex:
+    """The m-node Gauss-Legendre rule_sum of f over [lo, hi]: the one rule for an integral over an interval."""
     x, w = gl_rule(lo, hi, m)
     return rule_sum(w, np.array(f(x)))
 
@@ -104,13 +105,6 @@ def grid_product(factors: Sequence[np.ndarray]) -> np.ndarray:
     bit for bit.
     """
     return reduce(np.multiply.outer, factors)
-
-
-def intersect_interval(lo1: float, hi1: float, lo2: float, hi2: float) -> tuple[float, float] | None:
-    lo, hi = max(lo1, lo2), min(hi1, hi2)
-    if lo >= hi:
-        return None
-    return lo, hi
 
 
 def intersect_box(lo1, hi1, lo2, hi2) -> Box | None:

@@ -137,7 +137,7 @@ def test_criterion_7_rescaling():
         s = random_state(rng, n_blocks, meas, n_terms=2)
         before = inner(s, s, quad).real
         for c_new in (0.1, 2.0, 10.0):
-            moved = rescale_iso(s, 1.0, c_new)
+            moved = rescale_iso(s, c_new)
             after = inner(moved, moved, quad).real
             worst = max(worst, abs(after - before) / before)
     elapsed = time.perf_counter() - t0

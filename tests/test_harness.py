@@ -264,6 +264,16 @@ def test_cli_verify_and_exit_code(tmp_path):
     assert json.loads(lines[-1])["summary"]["all_pass"] is True
 
 
+def test_cli_config_file_overrides_only_the_keys_it_names(tmp_path):
+    # a file naming only the seed used to reset nodes and trials to SuiteConfig's field defaults
+    config_file = tmp_path / "config.json"
+    config_file.write_text(json.dumps({"seed": 20240613}))
+    by_file, by_flag = tmp_path / "file.jsonl", tmp_path / "flag.jsonl"
+    assert main(["verify", "rescaling", "--config", str(config_file), "--out", str(by_file)]) == 0
+    assert main(["verify", "rescaling", "--seed", "20240613", "--out", str(by_flag)]) == 0
+    assert by_file.read_bytes() == by_flag.read_bytes()
+
+
 def test_cli_study(tmp_path, capsys):
     out = tmp_path / "study.txt"
     code = main(["study", "identity-diffeo", "--ladder", "16,32", "--out", str(out)])

@@ -16,7 +16,6 @@ from sigcone.quadrature import (
     grid_product,
     hull_box,
     intersect_box,
-    intersect_interval,
     quad_1d,
     rule_sum,
     slab_sum,
@@ -144,8 +143,6 @@ def test_tensor_rule_equals_the_meshgrid_rule(d, m):
 
 
 def test_box_helpers():
-    assert intersect_interval(0, 1, 2, 3) is None
-    assert intersect_interval(0, 2, 1, 3) == (1, 2)
     assert intersect_box([0, 0], [1, 1], [2, 2], [3, 3]) is None
     lo, hi = intersect_box([0, 0], [2, 2], [1, -1], [3, 1])
     assert lo.tolist() == [1, 0] and hi.tolist() == [2, 1]
