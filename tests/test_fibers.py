@@ -21,7 +21,7 @@ from sigcone.fibers import (
 )
 from sigcone.gamma import InvariantMeasure, SignatureSpec, invariant_dot, vech_det
 from sigcone.harness import _rel, random_cone_expansion
-from sigcone.quadrature import QuadConfig, gl_rule, grid_product, quad_1d, tensor_rule
+from sigcone.quadrature import QuadConfig, gl_rule, grid_product, intersect_box, quad_1d, tensor_rule
 
 QUAD = QuadConfig(48)
 MEAS = InvariantMeasure(SignatureSpec(1, 0), 1.0)
@@ -211,12 +211,11 @@ def tensor_rule_fiber_inner(f1, f2, measure, m):
     total = 0.0 + 0.0j
     for t1 in f1.terms:
         for t2 in f2.terms:
-            lo = np.maximum(t1.box()[0], t2.box()[0])
-            hi = np.minimum(t1.box()[1], t2.box()[1])
-            if np.any(lo >= hi):
+            box = intersect_box(*t1.box(), *t2.box())
+            if box is None:
                 continue
-            pts, wts = tensor_rule(lo, hi, m)
-            nodes = [gl_rule(l, h, m)[0] for l, h in zip(lo, hi)]
+            pts, wts = tensor_rule(*box, m)
+            nodes = [gl_rule(lo, hi, m)[0] for lo, hi in zip(*box)]
             vals = np.ravel(grid_product([a(x) * b(x) for a, b, x in zip(t1.factors, t2.factors, nodes)]))
             block = float(invariant_dot(vech_det(pts.T, measure.spec.n), wts, vals, measure))
             total += np.conj(t1.coeff) * t2.coeff * block
