@@ -241,12 +241,12 @@ def invariant_dot(det: np.ndarray, wts: np.ndarray, vals: np.ndarray, measure: I
 def separable_quad(nodes, wts, vals, measure: InvariantMeasure):
     """rule_sum of prod(vals) * prod(wts) against the density over the tensor grid of per-axis nodes.
 
-    nodes, wts and vals hold one array per vech axis.  The grid is summed one
-    slab_sum slab at a time: det from vech_det on the slab's nodes, each axis
-    reshaped to broadcast along its own grid axis, values and weights multiplied
-    over the slab by grid_product, so the total equals invariant_dot of the
-    whole raveled grid bit for bit and no m**dim array is built.  The arrays
-    in vals may be overwritten.
+    nodes, wts and vals hold one array per vech axis; vals are real for a bump
+    product.  The grid is summed one slab_sum slab at a time: det from vech_det
+    on the slab's nodes, each axis reshaped to broadcast along its own grid
+    axis, values and weights multiplied over the slab by grid_product, so the
+    total equals invariant_dot of the whole raveled grid bit for bit and no
+    m**dim array is built.  The arrays in vals may be overwritten.
     """
 
     def slab(i: int, j: int):
@@ -262,23 +262,23 @@ def separable_quad(nodes, wts, vals, measure: InvariantMeasure):
 def integrate_gamma(f, measure: InvariantMeasure, quad: QuadConfig) -> complex:
     """Integral of f against the invariant measure.
 
-    f must expose integrand_pieces() yielding (lo, hi, factors) in vech
-    coordinates: a piece is factors[0](v0) * factors[1](v1) * ... on its box
-    and zero outside.  Each factor is evaluated on its axis' Gauss-Legendre
-    nodes, and separable_quad sums the piece slab by slab; the factors'
-    arrays may be overwritten.
+    f must expose integrand_pieces() yielding (lo, hi, coeff, factors) in vech
+    coordinates: a piece is coeff * factors[0](v0) * factors[1](v1) * ... on
+    its box and zero outside.  separable_quad sums the factors' values at their
+    axes' Gauss-Legendre nodes slab by slab, in float64 for real factors, and
+    the piece's total is multiplied by coeff once; it may overwrite the values.
     The box is the support contract: check_support must certify the whole box
     inside the cone with |det| >= 1e-8, once per piece and before any node is
     evaluated, or SupportError is raised.
     """
-    for lo, hi, _ in f.integrand_pieces():
+    for lo, hi, _, _ in f.integrand_pieces():
         if np.size(lo) != measure.spec.dim:
             raise ValueError(f"support box has {np.size(lo)} coordinates, expected {measure.spec.dim}")
         check_support(lo, hi, measure.spec)
     m, total = quad.nodes_per_dim, 0.0 + 0.0j
-    for lo, hi, factors in f.integrand_pieces():
+    for lo, hi, coeff, factors in f.integrand_pieces():
         nodes, wts = zip(*(gl_rule(l, h, m) for l, h in zip(lo, hi)))
-        total += separable_quad(nodes, wts, [fac(x) for fac, x in zip(factors, nodes)], measure)
+        total += coeff * separable_quad(nodes, wts, [fac(x) for fac, x in zip(factors, nodes)], measure)
     return complex(total)
 
 
@@ -286,45 +286,44 @@ def verify_invariance(f, g: GlElement, measure: InvariantMeasure, quad: QuadConf
     """The integral of f and the integral of its congruence pull-back, as (lhs, rhs).
 
     lhs is integrate_gamma(f); the caller judges how far rhs lies from it.
-    The pull-back side is the independent oracle: it multiplies f's factors
-    pointwise, left to right, into the first factor's array (which must have
-    the product's dtype), at the congruence images of the nodes of a dense
-    rule over the bounding box of the transformed support, nodes unrelated to
-    the left-hand side's.  It sums that rule one slab_sum slab at a time, each
-    slab's points its first-axis nodes times the tensor_rule points of the
-    other axes, and sets det to 1 where the integrand is 0.  That support,
-    g^T supp(f) g, has |det| scaled by det(g)^2, so f certified at
-    floor * max(1, det(g)^-2) covers both sides; the bounding box may cross
-    det = 0 and gets no certificate of its own.
+    The pull-back side is the independent oracle: it multiplies a piece's
+    factors pointwise, left to right, into the first factor's array, then its
+    total by coeff, at the congruence images of the nodes of a dense rule over
+    the bounding box of the transformed support, nodes unrelated to the
+    left-hand side's, one slab_sum slab at a time.  Mapped coordinate k is the
+    slab's first-axis nodes times vech_map[k, 0] broadcast against the per-piece
+    share sum_{a>=1} vech_map[k, a] * p_a of the other axes' tensor_rule points
+    p; det takes vech_det's float operations and is set to 1 where the
+    integrand is 0.  That support, g^T supp(f) g, has |det| scaled by det(g)^2,
+    so f certified at floor * max(1, det(g)^-2) covers both sides; the
+    bounding box may cross det = 0 and gets no certificate of its own.
     """
     floor = SUPPORT_DET_FLOOR * max(1.0, float(det_stack(g.matrix)) ** -2)
-    for lo, hi, _ in f.integrand_pieces():
+    for lo, hi, _, _ in f.integrand_pieces():
         check_support(lo, hi, measure.spec, floor)
     lhs = integrate_gamma(f, measure, quad)
     vech_map = congruence_vech_matrix(g.inverse, measure.spec.n)
     m, dim = quad.nodes_per_dim, measure.spec.dim
     rhs = 0.0 + 0.0j
-    for lo, hi, factors in f.integrand_pieces():
+    for lo, hi, coeff, factors in f.integrand_pieces():
         img = box_corners(lo, hi) @ np.linalg.inv(vech_map).T
         box_lo, box_hi = img.min(axis=0), img.max(axis=0)
         (x0, w0), *rest = (gl_rule(l, h, m) for l, h in zip(box_lo, box_hi))
-        other = tensor_rule(box_lo[1:], box_hi[1:], m)[0] if dim > 1 else np.empty((1, 0))
+        p = tensor_rule(box_lo[1:], box_hi[1:], m)[0].T.copy() if dim > 1 else None
+        shares = [sum(vech_map[k, a] * p[a - 1] for a in range(1, dim)) for k in range(dim)]
+        p2, p1p1 = (p[1], p[0] * p[0]) if dim > 1 else (1.0, 0.0)  # n = 1: det = x0 * 1.0 - 0.0 = x0
 
         def slab(i: int, j: int):
-            pts = np.empty((j - i, len(other), dim))
-            pts[..., 0] = x0[i:j, None]
-            pts[..., 1:] = other
-            pts = pts.reshape(-1, dim)
-            mapped = pts @ vech_map.T
-            vals = factors[0](mapped[:, 0])
-            for k in range(1, len(factors)):
-                vals *= factors[k](mapped[:, k])
-            det = vech_det(pts.T, measure.spec.n)
+            x = x0[i:j, None]
+            vals = factors[0](x * vech_map[0, 0] + shares[0])
+            for k in range(1, dim):
+                vals *= factors[k](x * vech_map[k, 0] + shares[k])
+            det = x * p2 - p1p1
             det[vals == 0] = 1.0
-            wts = np.ravel(grid_product([w0[i:j], *(w for _, w in rest)]))
-            return invariant_dot(det, wts, vals, measure)
+            wts = grid_product([w0[i:j], *(w for _, w in rest)])
+            return invariant_dot(np.ravel(det), np.ravel(wts), np.ravel(vals), measure)
 
-        rhs += slab_sum(m, dim, slab)
+        rhs += coeff * slab_sum(m, dim, slab)
     return lhs, complex(rhs)
 
 

@@ -16,10 +16,10 @@ from numpy.polynomial.legendre import leggauss
 
 Box = tuple[np.ndarray, np.ndarray]
 
-# The most points a slab_sum slab holds where its rows can still be halved.  The largest slab array (4096 x 3
-# oracle points, 96 KiB) stays below glibc's default 128 KiB mmap threshold, so slab arrays come from the heap
-# instead of fresh zero pages faulted in on every call.
-SLAB_POINTS = 4096
+# The most points a slab_sum slab holds where its rows can still be halved.  Every slab array is float64, so the
+# largest (8192 values, 64 KiB) stays below glibc's default 128 KiB mmap threshold, and slab arrays come from the
+# heap instead of fresh zero pages faulted in on every call.
+SLAB_POINTS = 8192
 
 
 @dataclass(frozen=True)
@@ -64,15 +64,15 @@ def slab_sum(m: int, dim: int, slab_total: Callable[[int, int], complex]):
     rows holding a multiple of 8 values: there NumPy's pairwise sum halves the
     whole raveled grid too, so the total equals its rule_sum bit for bit.
     """
-    row = m ** (dim - 1)
+    return _halved_sum(slab_total, m ** (dim - 1), 0, m)
 
-    def total(i: int, rows: int):
-        half = rows // 2
-        if rows * row > SLAB_POINTS and rows % 2 == 0 and half * row % 8 == 0:
-            return total(i, half) + total(i + half, half)
-        return slab_total(i, i + rows)
 
-    return total(0, m)
+def _halved_sum(slab_total: Callable[[int, int], complex], row: int, i: int, rows: int):
+    # module level, not a closure that refers to itself: a call leaves no reference cycle to the garbage collector
+    half = rows // 2
+    if rows * row > SLAB_POINTS and rows % 2 == 0 and half * row % 8 == 0:
+        return _halved_sum(slab_total, row, i, half) + _halved_sum(slab_total, row, i + half, half)
+    return slab_total(i, i + rows)
 
 
 def quad_1d(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, m: int) -> complex:

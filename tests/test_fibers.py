@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from sigcone.fibers import (
+    BUMP_CUT,
     BumpExpansion,
     BumpFunction,
     BumpTerm,
@@ -28,25 +29,34 @@ MEAS = InvariantMeasure(SignatureSpec(1, 0), 1.0)
 
 
 def where_bump(centers, widths, u):
-    """The bump evaluated everywhere and kept where |t| < 1."""
+    """The bump evaluated everywhere and kept where |t| < BUMP_CUT."""
     t = (u - centers) / widths
     with np.errstate(divide="ignore", over="ignore", under="ignore"):
-        return np.where(np.abs(t) < 1.0, np.exp(-1.0 / (1.0 - t**2)), 0.0)
+        return np.where(np.abs(t) < BUMP_CUT, np.exp(-1.0 / (1.0 - t**2)), 0.0)
 
 
 def test_bump_values_equal_the_where_formula_bit_for_bit():
     rng = np.random.default_rng(5)
+    tiny = np.finfo(float).tiny
     edge = np.array([1.0, -1.0])
+    cut = np.array([BUMP_CUT, -BUMP_CUT])
+    below_cut = (np.array(BUMP_CUT).view(np.int64) - np.arange(1, 200_001)).view(np.float64)  # 200,000 floats
     special = np.concatenate([
         np.nextafter(edge, 0.0), edge, np.nextafter(edge, 2 * edge),  # |t| = 1 - ulp, 1, 1 + ulp
-        np.linspace(0.9990, 0.9996, 401),  # exp(-1/(1-t^2)) underflows to subnormals, then 0
+        np.nextafter(cut, 0.0), cut, np.nextafter(cut, 2 * cut),  # |t| = BUMP_CUT - ulp, BUMP_CUT, BUMP_CUT + ulp
+        np.linspace(0.9990, 0.9996, 401),  # exp(-1/(1-t^2)) would underflow to subnormals, then 0
         rng.uniform(-1.5, 1.5, 400),
     ])
     with np.errstate(under="ignore"):
-        assert np.any(where_bump(0.0, 1.0, special[6:407]) == 0.0)
+        assert np.any(where_bump(0.0, 1.0, special[12:413]) == 0.0)
+    assert BUMP_CUT == np.sqrt(1.0 + 1.0 / np.log(tiny)) and 0.999293 < BUMP_CUT < 0.999294
     n = 2000
     cases = [
         (0.0, 1.0, special),
+        (0.0, 1.0, below_cut),
+        (0.0, 1.0, -below_cut),
+        *((0.0, 1.0, gl_rule(-1.0, 1.0, m)[0]) for m in (16, 32, 48, 64, 200)),
+        (0.3, 0.7, gl_rule(-0.4, 1.0, 64)[0]),
         (0.3, 0.7, rng.uniform(-1.0, 1.5, n)),
         (rng.uniform(-1.0, 1.0, n), rng.uniform(0.1, 2.0, n), rng.uniform(-3.0, 3.0, n)),
         (rng.uniform(-1.0, 1.0, (9, 1)), rng.uniform(0.1, 2.0, (9, 1)), rng.uniform(-3.0, 3.0, (1, 50))),
@@ -58,6 +68,9 @@ def test_bump_values_equal_the_where_formula_bit_for_bit():
         want = where_bump(centers, widths, u)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
         assert np.array_equal(u, before)
+        assert not np.any((got > 0.0) & (got < tiny))  # no subnormal value
+    assert np.all(bump_values(0.0, 1.0, below_cut) > 0.0)
+    assert np.all(bump_values(0.0, 1.0, special[8:12]) == 0.0)  # |t| = BUMP_CUT and one ulp above
 
 
 def test_bump_function_shape():

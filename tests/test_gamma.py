@@ -1,3 +1,4 @@
+import gc
 import itertools
 import tracemalloc
 
@@ -27,7 +28,7 @@ from sigcone.gamma import (
     verify_invariance,
 )
 from sigcone import gamma
-from sigcone.fibers import product_bump
+from sigcone.fibers import FiberSpace, fiber_inner, product_bump
 from sigcone.harness import _rel, random_cone_expansion
 from sigcone.quadrature import QuadConfig, box_corners, gl_rule, rule_sum, tensor_rule
 
@@ -43,7 +44,7 @@ class Boxed:
         self.func, self.lo, self.hi = func, np.asarray(lo, float), np.asarray(hi, float)
 
     def integrand_pieces(self):
-        yield self.lo, self.hi, (lambda u: self.func(u[:, None]),)
+        yield self.lo, self.hi, 1.0, (lambda u: self.func(u[:, None]),)
 
 
 SIGNATURES = [(1, 0), (0, 1), (2, 0), (1, 1), (2, 1)]
@@ -194,7 +195,8 @@ def test_integrate_gamma_matches_adaptive_oracle():
 @pytest.mark.parametrize("n_terms", [1, 2, 3])
 def test_integrate_gamma_per_axis_equals_pointwise_rule_sum(sig, n_terms):
     """Factors evaluated per axis and multiplied with grid_product give, bit
-    for bit, the pointwise term values on each term's tensor rule."""
+    for bit, the real pointwise bump product on each term's tensor rule, and
+    each term's total is multiplied by its coefficient once."""
     spec = SignatureSpec(*sig)
     rng = np.random.default_rng(1000 * sig[0] + 10 * sig[1] + n_terms)
     meas = InvariantMeasure(spec, float(rng.uniform(0.5, 2.0)))
@@ -204,7 +206,10 @@ def test_integrate_gamma_per_axis_equals_pointwise_rule_sum(sig, n_terms):
         want = 0.0 + 0.0j
         for t in f.terms:
             pts, wts = tensor_rule(*t.box(), m)
-            want += invariant_dot(vech_det(pts.T, spec.n), wts, t(pts), meas)
+            vals = t.factors[0](pts[:, 0])
+            for k in range(1, spec.dim):
+                vals = vals * t.factors[k](pts[:, k])
+            want += t.coeff * invariant_dot(vech_det(pts.T, spec.n), wts, vals, meas)
         assert integrate_gamma(f, meas, QuadConfig(m)) == complex(want)
 
 
@@ -252,23 +257,70 @@ def test_verify_invariance_builds_no_whole_grid_array():
     assert peak < 2 * 2**20
 
 
+def n2_kernel_calls():
+    """integrate_gamma, verify_invariance and an n=2 fiber_inner on a complex-coefficient expansion, at m=64."""
+    spec = SignatureSpec(1, 1)
+    rng = np.random.default_rng(64)
+    meas = InvariantMeasure(spec, 1.2)
+    f = random_cone_expansion(spec, rng, 2)
+    g = random_gl(2, rng, spread=0.18)
+    assert all(t.coeff.imag != 0 for t in f.terms)
+    quad = QuadConfig(64)
+    return [
+        lambda: integrate_gamma(f, meas, quad),
+        lambda: verify_invariance(f, g, meas, quad),
+        lambda: fiber_inner(f, f, FiberSpace(meas, 1), quad),
+    ]
+
+
+def test_cone_kernels_leave_no_reference_cycles():
+    calls = n2_kernel_calls()
+    gc.collect()
+    gc.disable()
+    try:
+        for call in calls:
+            call()
+            assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_cone_kernels_sum_real_values(monkeypatch):
+    """Both sides of verify_invariance and an n=2 fiber block hand invariant_dot float64 values only;
+    the complex coefficients are applied to each piece's total."""
+    dtypes = []
+
+    def recording(det, wts, vals, measure):
+        dtypes.append(vals.dtype)
+        return invariant_dot(det, wts, vals, measure)
+
+    monkeypatch.setattr(gamma, "invariant_dot", recording)
+    counts = []
+    for call in n2_kernel_calls():
+        assert call() != 0
+        counts.append(len(dtypes))
+    assert set(dtypes) == {np.dtype(np.float64)}
+    assert 0 < counts[0] < counts[1] - counts[0] and counts[2] > counts[1]  # verify_invariance sums its oracle too
+
+
 def masked_oracle_rhs(f, g, meas, m):
-    """The congruence side of verify_invariance as a rule sum that weights
-    only the nodes where the integrand is nonzero."""
+    """The congruence side of verify_invariance as a rule sum of the real bump
+    product over the whole grid that weights only the nodes where the integrand
+    is nonzero; each mapped coordinate is the first-axis term plus the other
+    axes' share, and each piece's total is multiplied by its coefficient."""
     vech_map = congruence_vech_matrix(g.inverse, meas.spec.n)
     rhs = 0.0 + 0.0j
-    for lo, hi, factors in f.integrand_pieces():
+    for lo, hi, coeff, factors in f.integrand_pieces():
         img = box_corners(lo, hi) @ np.linalg.inv(vech_map).T
         pts, wts = tensor_rule(img.min(axis=0), img.max(axis=0), m)
-        mapped = pts @ vech_map.T
-        vals = factors[0](mapped[:, 0])
-        for k in range(1, len(factors)):
-            vals = vals * factors[k](mapped[:, k])
+        vals = np.ones(len(pts))
+        for k, fac in enumerate(factors):
+            vals = vals * fac(pts[:, 0] * vech_map[k, 0] + (vech_map[k, 1] * pts[:, 1] + vech_map[k, 2] * pts[:, 2]))
         mask = vals != 0
         det = pts[:, 0] * pts[:, 2] - pts[:, 1] * pts[:, 1]
         weight = np.zeros(len(pts))
         weight[mask] = meas.scale_c * np.abs(det[mask]) ** -1.5
-        rhs += rule_sum(wts, vals * weight)
+        rhs += coeff * rule_sum(wts, vals * weight)
     return complex(rhs)
 
 
@@ -280,7 +332,7 @@ def test_oracle_density_on_a_box_crossing_det_zero_equals_the_masked_sum(sig, ce
     meas = InvariantMeasure(SignatureSpec(*sig), 1.3)
     f = product_bump(0.7 - 0.4j, centers, widths)
     g = GlElement(g)
-    (lo, hi, _), = f.integrand_pieces()
+    (lo, hi, _, _), = f.integrand_pieces()
     check_support(lo, hi, meas.spec)
     img = box_corners(lo, hi) @ np.linalg.inv(congruence_vech_matrix(g.inverse, 2)).T
     pts, _ = tensor_rule(img.min(axis=0), img.max(axis=0), 32)

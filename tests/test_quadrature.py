@@ -110,8 +110,9 @@ def test_slab_sum_equals_rule_sum_of_the_whole_grid(slab_points, dim, dtype, mon
         got = slab_sum(m, dim, slab_total)
         assert got == rule_sum(wts, vals.copy())
         assert [i for i, _ in slabs] == [0] + [j for _, j in slabs[:-1]] and slabs[-1][1] == m
-        if m == 64 and dim == 3:
-            assert slabs == [(i, i + 1) for i in range(m)]  # one 4096-point row per slab
+        if m == 64 and dim == 3:  # 4096-point rows: two per slab at the default 8192 points, one at 128 or 1024
+            rows = 2 if slab_points is None else 1
+            assert slabs == [(i, i + rows) for i in range(0, m, rows)]
 
 
 def test_tensor_rule_factorizes():

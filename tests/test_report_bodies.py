@@ -20,7 +20,7 @@ from sigcone import quadrature
 from sigcone.harness import SUITE_NAMES, default_config, run_suite, write_report
 
 PINNED = {
-    "measure-invariance": "4f6ba4f4253d8156010a9f914d8e621b7db038cf4b1b9fef9bd4a82d78775b00",
+    "measure-invariance": "20c4d95db6f8b10aa7af05c4f9bdd57818dae888b3dc72a2126d831278ad1efa",
     "pushforward-product": "0d7125263c456b0bf0ed4853a9792af9f519b9fad4070eaf9a9323fc81b5cfae",
     "density-axioms": "541d7cb4321ebb9bab3dcbc67643aa1c47b3db7671aee67d3b2ef8e81b0b6d77",
     "pairing-continuity": "f9d37f6a16b66fa603751a3bcbe8c04403c305bd52e483829c1a92e1d9e7982d",
