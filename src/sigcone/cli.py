@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 from .harness import (
+    MIN_NODES,
     STUDY_OPS,
     SUITE_NAMES,
     SuiteConfig,
@@ -77,8 +78,8 @@ def _cmd_verify(args: argparse.Namespace, configs: dict[str, SuiteConfig]) -> in
 
 def _ladder(text: str) -> list[int]:
     ladder = [int(tok) for tok in text.split(",")]
-    if ladder != sorted(set(ladder)) or ladder[0] < 2:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a strictly increasing list of node counts >= 2")
+    if ladder != sorted(set(ladder)) or ladder[0] < MIN_NODES:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a strictly increasing list of node counts >= {MIN_NODES}")
     return ladder
 
 

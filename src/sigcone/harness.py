@@ -1,9 +1,13 @@
-"""Verification suites, seeded case generation, and report emission.
+"""Verification suites, convergence studies, seeded case generation, and report emission.
 
-Every suite draws its randomness from one seeded generator with a per-case
-substream derived from the case label, so any suite (and any single case) is
-reproducible in isolation.  Report bodies are deterministic for a fixed
-config; wall-clock timings go to a separate file so bodies stay byte-stable.
+One case table, ``_CASES``, maps each label prefix to its case function
+``(config, i, label, rng, out)``.  Case i of a prefix is labelled
+``f"{prefix}-{i:03d}"`` and draws from the substream ``_rng(config, label)``
+of the seed, so any case is reproducible in isolation.  A suite (``_SUITES``)
+runs its prefixes' cases over its trials and then its whole-suite function,
+if it has one; a study runs one suite case at every node count of its
+ladder.  Report bodies are deterministic for a fixed config; wall-clock
+timings go to a separate file so bodies stay byte-stable.
 """
 
 from __future__ import annotations
@@ -14,10 +18,10 @@ import os
 import time
 import zlib
 from dataclasses import dataclass, fields, replace
-from functools import reduce
+from functools import partial, reduce
 from operator import mul
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -33,6 +37,7 @@ DEFAULT_CATALOG = (
     cfg.soft(0.8, 0.9),
     cfg.sine(0.45),
 )
+MIN_NODES = 8  # the node floor of every suite run and every study rung
 
 
 @dataclass(frozen=True)
@@ -56,8 +61,8 @@ class SuiteConfig:
             raise ValueError("seed must be a non-negative integer")
         if self.trials < 1:
             raise ValueError("need at least one trial")
-        if self.nodes_per_dim < 8:
-            raise ValueError("suites need at least 8 nodes per dimension")
+        if self.nodes_per_dim < MIN_NODES:
+            raise ValueError(f"suites need at least {MIN_NODES} nodes per dimension")
         if not 1 <= self.n_max <= 4:
             raise ValueError("n_max must lie in 1..4")
         if not self.diffeo_catalog:
@@ -164,12 +169,6 @@ class _Rows:
         self.rows: list[ReportRow] = []
         self._last = time.perf_counter()
 
-    def cases(self, prefix: str) -> Iterator[tuple[int, str, np.random.Generator]]:
-        """``(i, label, rng)`` per trial; the seed and the label fix the case's substream."""
-        for i in range(self.config.trials):
-            label = f"{prefix}-{i:03d}"
-            yield i, label, _rng(self.config, label)
-
     def add(self, case_id: str, lhs, rhs, tol: float | None, err: float | None = None,
             nodes: int | None = None, ok: bool | None = None) -> None:
         """Record a row that passes iff ``err < tol or err == 0.0``, with ``err`` by default ``_rel(lhs, rhs)``.
@@ -270,27 +269,26 @@ def random_section(
     return kspace.SparseSection(n_blocks, measure, tuple(entries))
 
 
-# -- suites --------------------------------------------------------------------
+# -- cases: one function per label prefix, (config, i, label, rng, out) -----------
 
 
-def _suite_measure_invariance(config: SuiteConfig, out: _Rows) -> None:
-    base = QuadConfig(config.nodes_per_dim)
-    for n, spec_choices in ((1, [(1, 0), (0, 1)]), (2, [(2, 0), (1, 1)])):
-        for i, label, rng in out.cases(f"inv-n{n}"):
-            spec = gamma.SignatureSpec(*spec_choices[i % len(spec_choices)])
-            measure = gamma.InvariantMeasure(spec, scale_c=float(rng.uniform(0.5, 2.0)))
-            f = random_cone_expansion(spec, rng, n_terms=1 + i % 2)
-            g = gamma.random_gl(spec.n, rng, spread=0.18)
-            lhs1, rhs1 = gamma.verify_invariance(f, g, measure, base)
-            lhs2, rhs2 = gamma.verify_invariance(f, g, measure, base.doubled())
-            out.add(label + f"@{base.nodes_per_dim}", lhs1, rhs1, 1e-5)
-            # the doubled rule reaches only ~1e-9 on sheared n=2 supports, and the
-            # base error can fall below that when the two sides' errors cancel
-            out.add(label + f"@{2 * base.nodes_per_dim}", lhs2, rhs2, max(_rel(lhs1, rhs1), 1e-7),
-                    nodes=2 * base.nodes_per_dim)
+def _case_invariance(specs: tuple[tuple[int, int], ...], config: SuiteConfig, i: int, label: str,
+                     rng: np.random.Generator, out: _Rows) -> None:
+    base = config.quad()
+    spec = gamma.SignatureSpec(*specs[i % len(specs)])
+    measure = gamma.InvariantMeasure(spec, scale_c=float(rng.uniform(0.5, 2.0)))
+    f = random_cone_expansion(spec, rng, n_terms=1 + i % 2)
+    g = gamma.random_gl(spec.n, rng, spread=0.18)
+    lhs1, rhs1 = gamma.verify_invariance(f, g, measure, base)
+    lhs2, rhs2 = gamma.verify_invariance(f, g, measure, base.doubled())
+    out.add(label + f"@{base.nodes_per_dim}", lhs1, rhs1, 1e-5)
+    # the doubled rule reaches only ~1e-9 on sheared n=2 supports, and the
+    # base error can fall below that when the two sides' errors cancel
+    out.add(label + f"@{2 * base.nodes_per_dim}", lhs2, rhs2, max(_rel(lhs1, rhs1), 1e-7),
+            nodes=2 * base.nodes_per_dim)
 
 
-def _pushforward_case(rng: np.random.Generator, i: int):
+def _case_pushforward(config: SuiteConfig, i: int, label: str, rng: np.random.Generator, out: _Rows) -> None:
     maps = [
         fibers.MonotoneMap("affine", (1.0, 0.0)),
         fibers.MonotoneMap("affine", (2.0, 0.0)),
@@ -322,147 +320,198 @@ def _pushforward_case(rng: np.random.Generator, i: int):
         [(lox + hix) / 2, (loy + hiy) / 2],
         [(hix - lox) / 2, (hiy - loy) / 2],
     )
-    return alpha, beta, h, mu, nu
+    out.add(label, *fibers.pushforward_product_check(alpha, beta, h, mu, nu, config.quad()), 1e-7)
 
 
-def _suite_pushforward_product(config: SuiteConfig, out: _Rows) -> None:
+def _case_density_axioms(config: SuiteConfig, i: int, label: str, rng: np.random.Generator, out: _Rows) -> None:
     quad = config.quad()
-    for i, label, rng in out.cases("push"):
-        alpha, beta, h, mu, nu = _pushforward_case(rng, i)
-        out.add(label, *fibers.pushforward_product_check(alpha, beta, h, mu, nu, quad), 1e-7)
+    spec = gamma.SignatureSpec(1, 0) if i % 3 else gamma.SignatureSpec(2, 0)
+    measure = gamma.InvariantMeasure(spec, 1.0)
+    fiber = fibers.FiberSpace(measure, 1)
+    w0 = dens.AlphaDensity(0.5, random_cone_expansion(spec, rng, 1), fiber)
+    w1 = dens.AlphaDensity(0.5, random_cone_expansion(spec, rng, 1), fiber)
+    w2 = dens.AlphaDensity(0.5, random_cone_expansion(spec, rng, 2), fiber)
+    z1 = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+    z2 = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+    lhs = dens.density_product(w0, dens.lin_comb(z1, w1, z2, w2), quad).ref_value
+    rhs = (
+        z1 * dens.density_product(w0, w1, quad).ref_value
+        + z2 * dens.density_product(w0, w2, quad).ref_value
+    )
+    out.add(label + "-sesq", lhs, rhs, 1e-10, err=abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-30))
+    p12 = dens.density_product(w1, w2, quad).ref_value
+    p21 = dens.density_product(w2, w1, quad).ref_value
+    out.add(label + "-herm", np.conj(p21), p12, 1e-12)
+    e = dens.Basis.from_array(np.eye(spec.n) * rng.uniform(0.5, 2.0))
+    norm_val = dens.evaluate(dens.density_product(w1, w1, quad), e)
+    out.add(label + "-pos", norm_val, 0.0, 0, err=abs(min(complex(norm_val).real, 0.0)))
+    # transformation chain on a scalar-valued density
+    w = dens.AlphaDensity(float(rng.choice([0.5, 1.0])), complex(rng.uniform(0.2, 1.0)))
+    l1 = gamma.random_gl(2, rng, 0.5).matrix
+    l2 = gamma.random_gl(2, rng, 0.5).matrix
+    lhs_c = dens.evaluate(w, dens.Basis.from_array(l2 @ l1))
+    rhs_c = abs(np.linalg.det(l2)) ** w.alpha * dens.evaluate(w, dens.Basis.from_array(l1))
+    out.add(label + "-chain", lhs_c, rhs_c, 1e-10)
+    # vanishing density product forces a vanishing fiber norm
+    wz = dens.lin_comb(1.0, w1, -1.0, w1)
+    zz = dens.density_product(wz, wz, quad).ref_value
+    fib_norm = fibers.fiber_inner(wz.ref_value, wz.ref_value, fiber, quad).real
+    out.add(label + "-null", zz, fib_norm, 1e-12, err=float(np.max([abs(zz), fib_norm])))
 
 
-def _suite_density_axioms(config: SuiteConfig, out: _Rows) -> None:
+def _case_pairing_continuity(config: SuiteConfig, i: int, label: str, rng: np.random.Generator, out: _Rows) -> None:
     quad = config.quad()
-    for i, label, rng in out.cases("dens"):
-        spec = gamma.SignatureSpec(1, 0) if i % 3 else gamma.SignatureSpec(2, 0)
-        measure = gamma.InvariantMeasure(spec, 1.0)
-        fiber = fibers.FiberSpace(measure, 1)
-        w0 = dens.AlphaDensity(0.5, random_cone_expansion(spec, rng, 1), fiber)
-        w1 = dens.AlphaDensity(0.5, random_cone_expansion(spec, rng, 1), fiber)
-        w2 = dens.AlphaDensity(0.5, random_cone_expansion(spec, rng, 2), fiber)
-        z1 = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        z2 = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        lhs = dens.density_product(w0, dens.lin_comb(z1, w1, z2, w2), quad).ref_value
-        rhs = (
-            z1 * dens.density_product(w0, w1, quad).ref_value
-            + z2 * dens.density_product(w0, w2, quad).ref_value
+    measure = gamma.InvariantMeasure(gamma.SignatureSpec(*config.signature), float(rng.uniform(0.5, 2.0)))
+    n_blocks = 1 + i % min(2, config.n_max)
+    s = random_state(rng, n_blocks, measure, n_terms=1)
+    term = s.terms[0]
+    dens_fn = hspace.pair_to_density(s, s, quad)
+    x0 = np.array([f.center for f in term.x_factors])
+    got = complex(dens_fn(x0[None, :])[0])
+    expected = complex(np.prod([abs(f(np.array([f.center]))[0]) ** 2 for f in term.x_factors]))
+    expected *= abs(term.coeff) ** 2
+    for g in term.g_factors:
+        expected *= complex(
+            quad_1d(lambda u, g=g: g(u) ** 2 * measure.scale_c / np.abs(u), g.lo, g.hi, quad.nodes_per_dim)
         )
-        out.add(label + "-sesq", lhs, rhs, 1e-10, err=abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-30))
-        p12 = dens.density_product(w1, w2, quad).ref_value
-        p21 = dens.density_product(w2, w1, quad).ref_value
-        out.add(label + "-herm", np.conj(p21), p12, 1e-12)
-        e = dens.Basis.from_array(np.eye(spec.n) * rng.uniform(0.5, 2.0))
-        norm_val = dens.evaluate(dens.density_product(w1, w1, quad), e)
-        out.add(label + "-pos", norm_val, 0.0, 0, err=abs(min(complex(norm_val).real, 0.0)))
-        # transformation chain on a scalar-valued density
-        w = dens.AlphaDensity(float(rng.choice([0.5, 1.0])), complex(rng.uniform(0.2, 1.0)))
-        l1 = gamma.random_gl(2, rng, 0.5).matrix
-        l2 = gamma.random_gl(2, rng, 0.5).matrix
-        lhs_c = dens.evaluate(w, dens.Basis.from_array(l2 @ l1))
-        rhs_c = abs(np.linalg.det(l2)) ** w.alpha * dens.evaluate(w, dens.Basis.from_array(l1))
-        out.add(label + "-chain", lhs_c, rhs_c, 1e-10)
-        # vanishing density product forces a vanishing fiber norm
-        wz = dens.lin_comb(1.0, w1, -1.0, w1)
-        zz = dens.density_product(wz, wz, quad).ref_value
-        fib_norm = fibers.fiber_inner(wz.ref_value, wz.ref_value, fiber, quad).real
-        out.add(label + "-null", zz, fib_norm, 1e-12, err=float(np.max([abs(zz), fib_norm])))
+    out.add(label + "-factor", got, expected, 1e-8)
+    # continuity modulus at the support center
+    diffs = []
+    for dlt in (0.2, 0.1, 0.05):
+        xp = x0.copy()
+        xp[0] += dlt * term.x_factors[0].width
+        diffs.append(abs(complex(dens_fn(xp[None, :])[0]) - got))
+    out.add(label + "-cont", diffs[0], diffs[2], None, err=diffs[2] / max(abs(got), 1e-30),
+            ok=diffs[0] >= diffs[1] >= diffs[2])
+    # disjoint x supports pair to the zero density
+    far_x = tuple(fibers.BumpFunction(f.center + 50.0, f.width) for f in term.x_factors)
+    far = hspace.HalfDensityState(n_blocks, measure, (replace(term, x_factors=far_x),))
+    z = hspace.inner(s, far, quad)
+    out.add(label + "-disjoint", z, 0.0, 0, err=abs(z))
 
 
-def _suite_pairing_continuity(config: SuiteConfig, out: _Rows) -> None:
+def _case_unitarity(config: SuiteConfig, i: int, label: str, rng: np.random.Generator, out: _Rows) -> None:
     quad = config.quad()
-    spec = gamma.SignatureSpec(*config.signature)
-    for i, label, rng in out.cases("pair"):
-        measure = gamma.InvariantMeasure(spec, float(rng.uniform(0.5, 2.0)))
-        n_blocks = 1 + i % min(2, config.n_max)
-        s = random_state(rng, n_blocks, measure, n_terms=1)
-        term = s.terms[0]
-        dens_fn = hspace.pair_to_density(s, s, quad)
-        x0 = np.array([f.center for f in term.x_factors])
-        got = complex(dens_fn(x0[None, :])[0])
-        expected = complex(np.prod([abs(f(np.array([f.center]))[0]) ** 2 for f in term.x_factors]))
-        expected *= abs(term.coeff) ** 2
-        for g in term.g_factors:
-            expected *= complex(
-                quad_1d(lambda u, g=g: g(u) ** 2 * measure.scale_c / np.abs(u), g.lo, g.hi, quad.nodes_per_dim)
-            )
-        out.add(label + "-factor", got, expected, 1e-8)
-        # continuity modulus at the support center
-        diffs = []
-        for dlt in (0.2, 0.1, 0.05):
-            xp = x0.copy()
-            xp[0] += dlt * term.x_factors[0].width
-            diffs.append(abs(complex(dens_fn(xp[None, :])[0]) - got))
-        out.add(label + "-cont", diffs[0], diffs[2], None, err=diffs[2] / max(abs(got), 1e-30),
-                ok=diffs[0] >= diffs[1] >= diffs[2])
-        # disjoint x supports pair to the zero density
-        far = hspace.HalfDensityState(
-            n_blocks, measure,
-            tuple(
-                hspace.BumpStateTerm(
-                    t.coeff,
-                    tuple(fibers.BumpFunction(f.center + 50.0, f.width) for f in t.x_factors),
-                    t.g_factors,
-                )
-                for t in s.terms
-            ),
-        )
-        z = hspace.inner(s, far, quad)
-        out.add(label + "-disjoint", z, 0.0, 0, err=abs(z))
+    measure = gamma.InvariantMeasure(gamma.SignatureSpec(*config.signature), float(rng.uniform(0.5, 2.0)))
+    n_blocks = 1 + i % min(2, config.n_max)
+    s1 = random_state(rng, n_blocks, measure, n_terms=2)
+    s2 = random_state(rng, n_blocks, measure, n_terms=2)
+    base = hspace.inner(s1, s2, quad)
+    scale = hspace.norm(s1, quad) * hspace.norm(s2, quad)
+    for theta in config.diffeo_catalog:
+        moved = hspace.inner(hspace.pullback(theta, s1), hspace.pullback(theta, s2), quad)
+        out.add(f"{label}-{theta.tag}{theta.params}", moved, base, 1e-5,
+                err=abs(moved - base) / max(scale, 1e-300))
 
 
-def _suite_unitarity(config: SuiteConfig, out: _Rows) -> None:
+def _case_pairing_identity(config: SuiteConfig, i: int, label: str, rng: np.random.Generator, out: _Rows) -> None:
+    # inner against its named oracle joint_inner, on two states pulled through sine(0.45)
     quad = config.quad()
-    spec = gamma.SignatureSpec(*config.signature)
-    for i, label, rng in out.cases("unit"):
-        measure = gamma.InvariantMeasure(spec, float(rng.uniform(0.5, 2.0)))
-        n_blocks = 1 + i % min(2, config.n_max)
-        s1 = random_state(rng, n_blocks, measure, n_terms=2)
-        s2 = random_state(rng, n_blocks, measure, n_terms=2)
-        base = hspace.inner(s1, s2, quad)
-        scale = hspace.norm(s1, quad) * hspace.norm(s2, quad)
-        for theta in config.diffeo_catalog:
-            moved = hspace.inner(hspace.pullback(theta, s1), hspace.pullback(theta, s2), quad)
-            out.add(f"{label}-{theta.tag}{theta.params}", moved, base, 1e-5,
-                    err=abs(moved - base) / max(scale, 1e-300))
+    measure = gamma.InvariantMeasure(gamma.SignatureSpec(*config.signature), 1.0)
+    n_blocks = min(2, config.n_max)
+    s1, other = random_state(rng, n_blocks, measure), random_state(rng, n_blocks, measure)
+    # on s1's x bumps: independent draws can have disjoint x supports, where both sides read 0
+    s2 = hspace.HalfDensityState(
+        n_blocks, measure, tuple(replace(t, x_factors=s1.terms[0].x_factors) for t in other.terms)
+    )
+    p1, p2 = (hspace.pullback(cfg.sine(0.45), s) for s in (s1, s2))
+    out.add(label, hspace.inner(p1, p2, quad), hspace.joint_inner(p1, p2, quad), 1e-6)
 
 
-def _suite_representation_law(config: SuiteConfig, out: _Rows) -> None:
-    spec = gamma.SignatureSpec(*config.signature)
+def _case_representation_law(config: SuiteConfig, i: int, label: str, rng: np.random.Generator, out: _Rows) -> None:
     catalog = [t for t in config.diffeo_catalog if t.tag != "identity"] or list(config.diffeo_catalog)
-    for i, label, rng in out.cases("rep"):
-        measure = gamma.InvariantMeasure(spec, 1.0)
-        n_blocks = 1 + i % min(2, config.n_max)
-        s = random_state(rng, n_blocks, measure, n_terms=1)
-        th1 = catalog[i % len(catalog)]
-        th2 = catalog[(i + 1) % len(catalog)]
-        seq = hspace.pullback(th2, hspace.pullback(th1, s))
-        joint = hspace.pullback(cfg.ComposedDiffeo(th1, th2), s)
-        xh = seq.x_hull()
-        gh = seq.gamma_hull()
-        xs = np.column_stack([rng.uniform(xh[0][k], xh[1][k], size=200) for k in range(n_blocks)])
-        gs = np.column_stack([rng.uniform(gh[0][k], gh[1][k], size=200) for k in range(n_blocks)])
-        va = seq.value(xs, gs)
-        vb = joint.value(xs, gs)
-        scale = max(np.max(np.abs(va)), 1e-30)
-        at = np.argmax(np.abs(va - vb))
-        out.add(f"{label}-{th1.tag}-{th2.tag}", complex(va[at]), complex(vb[at]), 1e-10,
-                err=float(np.max(np.abs(va - vb)) / scale))
+    measure = gamma.InvariantMeasure(gamma.SignatureSpec(*config.signature), 1.0)
+    n_blocks = 1 + i % min(2, config.n_max)
+    s = random_state(rng, n_blocks, measure, n_terms=1)
+    th1 = catalog[i % len(catalog)]
+    th2 = catalog[(i + 1) % len(catalog)]
+    seq = hspace.pullback(th2, hspace.pullback(th1, s))
+    joint = hspace.pullback(cfg.ComposedDiffeo(th1, th2), s)
+    xh = seq.x_hull()
+    gh = seq.gamma_hull()
+    xs = np.column_stack([rng.uniform(xh[0][k], xh[1][k], size=200) for k in range(n_blocks)])
+    gs = np.column_stack([rng.uniform(gh[0][k], gh[1][k], size=200) for k in range(n_blocks)])
+    va = seq.value(xs, gs)
+    vb = joint.value(xs, gs)
+    scale = max(np.max(np.abs(va)), 1e-30)
+    at = np.argmax(np.abs(va - vb))
+    out.add(f"{label}-{th1.tag}-{th2.tag}", complex(va[at]), complex(vb[at]), 1e-10,
+            err=float(np.max(np.abs(va - vb)) / scale))
 
 
-def _suite_rescaling(config: SuiteConfig, out: _Rows) -> None:
+def _case_rescaling(config: SuiteConfig, i: int, label: str, rng: np.random.Generator, out: _Rows) -> None:
     quad = config.quad()
-    spec = gamma.SignatureSpec(*config.signature)
-    for i, label, rng in out.cases("resc"):
-        n_blocks = 1 + i % min(3, config.n_max)
-        measure = gamma.InvariantMeasure(spec, 1.0)
-        s = random_state(rng, n_blocks, measure, n_terms=2)
-        before = hspace.inner(s, s, quad).real
-        for c_new in (0.1, 2.0, 10.0):
-            moved = hspace.rescale_iso(s, c_new)
-            after = hspace.inner(moved, moved, quad).real
-            out.add(f"{label}-N{n_blocks}-c{c_new}", after, before, 1e-14,
-                    err=abs(after - before) / max(before, 1e-300))
+    n_blocks = 1 + i % min(3, config.n_max)
+    measure = gamma.InvariantMeasure(gamma.SignatureSpec(*config.signature), 1.0)
+    s = random_state(rng, n_blocks, measure, n_terms=2)
+    before = hspace.inner(s, s, quad).real
+    for c_new in (0.1, 2.0, 10.0):
+        moved = hspace.rescale_iso(s, c_new)
+        after = hspace.inner(moved, moved, quad).real
+        out.add(f"{label}-N{n_blocks}-c{c_new}", after, before, 1e-14,
+                err=abs(after - before) / max(before, 1e-300))
+
+
+def _case_kspace_axioms(config: SuiteConfig, i: int, label: str, rng: np.random.Generator, out: _Rows) -> None:
+    quad = config.quad()
+    measure = gamma.InvariantMeasure(gamma.SignatureSpec(*config.signature), float(rng.uniform(0.5, 2.0)))
+    n_blocks = 1 + i % min(2, config.n_max)
+    pool = [random_point_set(rng, n_blocks) for _ in range(4)]
+    s0 = random_section(rng, n_blocks, measure, pool[:3])
+    s1 = random_section(rng, n_blocks, measure, pool[1:4])
+    s2 = random_section(rng, n_blocks, measure, pool[:2])
+    z1 = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+    z2 = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+    a = kspace.k_inner(s0, s1, quad)
+    lhs = kspace.k_inner(s0, s1.scaled(z1) + s2.scaled(z2), quad)
+    out.add(label + "-sesq", lhs, z1 * a + z2 * kspace.k_inner(s0, s2, quad), 1e-9)
+    out.add(label + "-herm", np.conj(kspace.k_inner(s1, s0, quad)), a, 1e-12)
+    nsq = kspace.k_inner(s0, s0, quad)
+    out.add(label + "-pos", nsq, 0.0, 1e-15, err=abs(nsq.imag), ok=nsq.real >= 0 and abs(nsq.imag) < 1e-15)
+    # summation-order independence over support points
+    fiber = s0.fiber_space()
+    fwd = sum(fibers.fiber_inner(f, f, fiber, quad) for _, f in s0.entries)
+    bwd = sum(fibers.fiber_inner(f, f, fiber, quad) for _, f in reversed(s0.entries))
+    out.add(label + "-order", fwd, bwd, 1e-12)
+    # Pythagoras for disjoint supports
+    far = kspace.SparseSection(
+        n_blocks, measure,
+        tuple((cfg.PointSet(tuple((v + 40.0,) for v in y.values)), f) for y, f in s0.entries),
+    )
+    total = kspace.k_inner(s0 + far, s0 + far, quad).real
+    parts = nsq.real + kspace.k_inner(far, far, quad).real
+    out.add(label + "-pyth", total, parts, 1e-12)
+    # unitary point transport for every catalog map
+    for theta in config.diffeo_catalog:
+        moved = kspace.k_inner(kspace.k_pullback(theta, s0), kspace.k_pullback(theta, s1), quad)
+        out.add(f"{label}-pull-{theta.tag}{theta.params}", moved, a, 1e-6, err=_rel(a, moved))
+
+
+def _case_graded_orthogonality(config: SuiteConfig, i: int, label: str, rng: np.random.Generator,
+                               out: _Rows) -> None:
+    quad = config.quad()
+    measure = gamma.InvariantMeasure(gamma.SignatureSpec(*config.signature), 1.0)
+    s1 = random_state(rng, 1, measure, n_terms=1)
+    s2 = random_state(rng, 2, measure, n_terms=1)
+    g1 = {1: s1}
+    cross = hspace.graded_inner(g1, {2: s2}, quad)
+    out.add(label + "-hcross", cross, 0.0, 0, err=abs(cross))
+    both = {1: s1, 2: s2}
+    tot = hspace.graded_inner(both, both, quad).real
+    direct = hspace.inner(s1, s1, quad)
+    parts = direct.real + hspace.inner(s2, s2, quad).real
+    out.add(label + "-hpyth", tot, parts, 1e-12)
+    out.add(label + "-hsingle", hspace.graded_inner(both, g1, quad), direct, 0)
+    k1 = random_section(rng, 1, measure, [random_point_set(rng, 1)])
+    k2 = random_section(rng, 2, measure, [random_point_set(rng, 2)])
+    kcross = kspace.graded_k_inner({1: k1}, {2: k2}, quad)
+    out.add(label + "-kcross", kcross, 0.0, 0, err=abs(kcross))
+    ktot = kspace.graded_k_inner({1: k1, 2: k2}, {1: k1, 2: k2}, quad).real
+    kparts = kspace.k_inner(k1, k1, quad).real + kspace.k_inner(k2, k2, quad).real
+    out.add(label + "-kpyth", ktot, kparts, 1e-12)
+
+
+# -- whole-suite rows: (config, out) ----------------------------------------------
 
 
 def _exact_profile(x: np.ndarray) -> np.ndarray:
@@ -486,44 +535,11 @@ def _suite_counterexample(config: SuiteConfig, out: _Rows) -> None:
     out.add("support-union", hi_support, 2.0**12, 0, err=max(0.0, 2.0**12 - hi_support))
 
 
-def _suite_kspace_axioms(config: SuiteConfig, out: _Rows) -> None:
-    quad = config.quad()
-    spec = gamma.SignatureSpec(*config.signature)
-    for i, label, rng in out.cases("kax"):
-        measure = gamma.InvariantMeasure(spec, float(rng.uniform(0.5, 2.0)))
-        n_blocks = 1 + i % min(2, config.n_max)
-        pool = [random_point_set(rng, n_blocks) for _ in range(4)]
-        s0 = random_section(rng, n_blocks, measure, pool[:3])
-        s1 = random_section(rng, n_blocks, measure, pool[1:4])
-        s2 = random_section(rng, n_blocks, measure, pool[:2])
-        z1 = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        z2 = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        a = kspace.k_inner(s0, s1, quad)
-        lhs = kspace.k_inner(s0, s1.scaled(z1) + s2.scaled(z2), quad)
-        out.add(label + "-sesq", lhs, z1 * a + z2 * kspace.k_inner(s0, s2, quad), 1e-9)
-        out.add(label + "-herm", np.conj(kspace.k_inner(s1, s0, quad)), a, 1e-12)
-        nsq = kspace.k_inner(s0, s0, quad)
-        out.add(label + "-pos", nsq, 0.0, 1e-15, err=abs(nsq.imag), ok=nsq.real >= 0 and abs(nsq.imag) < 1e-15)
-        # summation-order independence over support points
-        fiber = s0.fiber_space()
-        fwd = sum(fibers.fiber_inner(f, f, fiber, quad) for _, f in s0.entries)
-        bwd = sum(fibers.fiber_inner(f, f, fiber, quad) for _, f in reversed(s0.entries))
-        out.add(label + "-order", fwd, bwd, 1e-12)
-        # Pythagoras for disjoint supports
-        far = kspace.SparseSection(
-            n_blocks, measure,
-            tuple((cfg.PointSet(tuple((v + 40.0,) for v in y.values)), f) for y, f in s0.entries),
-        )
-        total = kspace.k_inner(s0 + far, s0 + far, quad).real
-        parts = nsq.real + kspace.k_inner(far, far, quad).real
-        out.add(label + "-pyth", total, parts, 1e-12)
-        # unitary point transport for every catalog map
-        for theta in config.diffeo_catalog:
-            moved = kspace.k_inner(kspace.k_pullback(theta, s0), kspace.k_pullback(theta, s1), quad)
-            out.add(f"{label}-pull-{theta.tag}{theta.params}", moved, a, 1e-6, err=_rel(a, moved))
+def _kspace_family(config: SuiteConfig, out: _Rows) -> None:
     # orthonormal family rows (one shared case)
+    quad = config.quad()
     rng = _rng(config, "kax-family")
-    measure = gamma.InvariantMeasure(spec, 1.0)
+    measure = gamma.InvariantMeasure(gamma.SignatureSpec(*config.signature), 1.0)
     y1 = random_point_set(rng, 1)
     y2 = random_point_set(rng, 1)
     while y2 == y1:
@@ -563,31 +579,6 @@ def _suite_kspace_density(config: SuiteConfig, out: _Rows) -> None:
         approx = kspace.SparseSection(1, measure, tuple(entries))
         err = kspace.k_norm(approx - target, quad)
         out.add(f"approx-m{m}", err, 1.0 / m, 1, err=err * m)
-
-
-def _suite_graded_orthogonality(config: SuiteConfig, out: _Rows) -> None:
-    quad = config.quad()
-    spec = gamma.SignatureSpec(*config.signature)
-    for i, label, rng in out.cases("grade"):
-        measure = gamma.InvariantMeasure(spec, 1.0)
-        s1 = random_state(rng, 1, measure, n_terms=1)
-        s2 = random_state(rng, 2, measure, n_terms=1)
-        g1 = {1: s1}
-        cross = hspace.graded_inner(g1, {2: s2}, quad)
-        out.add(label + "-hcross", cross, 0.0, 0, err=abs(cross))
-        both = {1: s1, 2: s2}
-        tot = hspace.graded_inner(both, both, quad).real
-        direct = hspace.inner(s1, s1, quad)
-        parts = direct.real + hspace.inner(s2, s2, quad).real
-        out.add(label + "-hpyth", tot, parts, 1e-12)
-        out.add(label + "-hsingle", hspace.graded_inner(both, g1, quad), direct, 0)
-        k1 = random_section(rng, 1, measure, [random_point_set(rng, 1)])
-        k2 = random_section(rng, 2, measure, [random_point_set(rng, 2)])
-        kcross = kspace.graded_k_inner({1: k1}, {2: k2}, quad)
-        out.add(label + "-kcross", kcross, 0.0, 0, err=abs(kcross))
-        ktot = kspace.graded_k_inner({1: k1, 2: k2}, {1: k1, 2: k2}, quad).real
-        kparts = kspace.k_inner(k1, k1, quad).real + kspace.k_inner(k2, k2, quad).real
-        out.add(label + "-kpyth", ktot, kparts, 1e-12)
 
 
 def _suite_chart_atlas(config: SuiteConfig, out: _Rows) -> None:
@@ -663,25 +654,43 @@ def _suite_chart_atlas(config: SuiteConfig, out: _Rows) -> None:
     out.add(f"injectivity[{config.trials}]", collisions, 0.0, 0, err=float(collisions))
 
 
-_SUITES: dict[str, tuple[Callable[[SuiteConfig, _Rows], None], int, int]] = {
-    # suite -> (function, default nodes_per_dim, default trials)
-    "measure-invariance": (_suite_measure_invariance, 32, 50),
-    "pushforward-product": (_suite_pushforward_product, 48, 20),
-    "density-axioms": (_suite_density_axioms, 48, 30),
-    "pairing-continuity": (_suite_pairing_continuity, 48, 10),
-    "unitarity": (_suite_unitarity, 48, 20),
-    "representation-law": (_suite_representation_law, 48, 10),
-    "rescaling": (_suite_rescaling, 16, 6),
-    "counterexample": (_suite_counterexample, 200, 1),
-    "kspace-axioms": (_suite_kspace_axioms, 48, 10),
-    "kspace-density": (_suite_kspace_density, 48, 1),
-    "graded-orthogonality": (_suite_graded_orthogonality, 32, 6),
-    "chart-atlas": (_suite_chart_atlas, 16, 10000),
+_CASES: dict[str, Callable[..., None]] = {
+    # label prefix -> case function (config, i, label, rng, out)
+    "inv-n1": partial(_case_invariance, ((1, 0), (0, 1))),
+    "inv-n2": partial(_case_invariance, ((2, 0), (1, 1))),
+    "push": _case_pushforward,
+    "dens": _case_density_axioms,
+    "pair": _case_pairing_continuity,
+    "unit": _case_unitarity,
+    "rep": _case_representation_law,
+    "resc": _case_rescaling,
+    "kax": _case_kspace_axioms,
+    "grade": _case_graded_orthogonality,
+    "pairid": _case_pairing_identity,  # in no suite yet; the pairing-identity study runs it
+}
+_SUITES: dict[str, tuple[tuple[str, ...], Callable[[SuiteConfig, _Rows], None] | None, int, int]] = {
+    # suite -> (label prefixes, whole-suite function, default nodes_per_dim, default trials)
+    "measure-invariance": (("inv-n1", "inv-n2"), None, 32, 50),
+    "pushforward-product": (("push",), None, 48, 20),
+    "density-axioms": (("dens",), None, 48, 30),
+    "pairing-continuity": (("pair",), None, 48, 10),
+    "unitarity": (("unit",), None, 48, 20),
+    "representation-law": (("rep",), None, 48, 10),
+    "rescaling": (("resc",), None, 16, 6),
+    "counterexample": ((), _suite_counterexample, 200, 1),
+    "kspace-axioms": (("kax",), _kspace_family, 48, 10),
+    "kspace-density": ((), _suite_kspace_density, 48, 1),
+    "graded-orthogonality": (("grade",), None, 32, 6),
+    "chart-atlas": ((), _suite_chart_atlas, 16, 10000),
 }
 SUITE_NAMES = tuple(_SUITES)
-_SUITE_DEFAULTS: dict[str, tuple[int, int]] = {
-    name: (nodes, trials) for name, (_, nodes, trials) in _SUITES.items()
-}
+_SUITE_DEFAULTS: dict[str, tuple[int, int]] = {name: (n, trials) for name, (_, _, n, trials) in _SUITES.items()}
+
+
+def _run_case(prefix: str, i: int, out: _Rows) -> None:
+    """Run case i of a prefix at ``out.config``, on the substream of its label ``f"{prefix}-{i:03d}"``."""
+    label = f"{prefix}-{i:03d}"
+    _CASES[prefix](out.config, i, label, _rng(out.config, label), out)
 
 
 @dataclass
@@ -700,8 +709,13 @@ def run_suite(name: str, config: SuiteConfig | None = None) -> SuiteResult:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
     config = config or default_config(name)
     t0 = time.perf_counter()
+    prefixes, whole_suite, _, _ = _SUITES[name]
     out = _Rows(name, config)
-    _SUITES[name][0](config, out)
+    for prefix in prefixes:
+        for i in range(config.trials):
+            _run_case(prefix, i, out)
+    if whole_suite is not None:
+        whole_suite(config, out)
     elapsed = (time.perf_counter() - t0) * 1e3
     out.rows.sort(key=lambda r: r.case_id)
     return SuiteResult(name, out.rows, elapsed)
@@ -739,57 +753,32 @@ class StudyRow:
     rel_err: float
 
 
-def _study_case(op_id: str, config: SuiteConfig, nodes: int) -> float:
-    quad = QuadConfig(nodes)
-    rng = _rng(config, f"study-{op_id}")
-    if op_id == "identity-diffeo":
-        measure = gamma.InvariantMeasure(gamma.SignatureSpec(*config.signature), 1.0)
-        s = random_state(rng, 1, measure)
-        a = hspace.inner(s, s, quad)
-        b = hspace.inner(hspace.pullback(cfg.identity(), s), hspace.pullback(cfg.identity(), s), quad)
-        return _rel(a, b)
-    if op_id == "unitarity":
-        measure = gamma.InvariantMeasure(gamma.SignatureSpec(*config.signature), 1.0)
-        s1 = random_state(rng, 1, measure)
-        s2 = random_state(rng, 1, measure)
-        theta = cfg.sine(0.45)
-        a = hspace.inner(s1, s2, quad)
-        b = hspace.inner(hspace.pullback(theta, s1), hspace.pullback(theta, s2), quad)
-        return abs(a - b) / max(hspace.norm(s1, quad) * hspace.norm(s2, quad), 1e-300)
-    if op_id in ("measure-invariance-n1", "measure-invariance-n2"):
-        n = 1 if op_id.endswith("n1") else 2
-        spec = gamma.SignatureSpec(1, 0) if n == 1 else gamma.SignatureSpec(2, 0)
-        measure = gamma.InvariantMeasure(spec, 1.0)
-        f = random_cone_expansion(spec, rng)
-        g = gamma.random_gl(spec.n, rng, spread=0.18)
-        return _rel(*gamma.verify_invariance(f, g, measure, quad))
-    if op_id == "pushforward-product":
-        alpha, beta, h, mu, nu = _pushforward_case(rng, 3)
-        return _rel(*fibers.pushforward_product_check(alpha, beta, h, mu, nu, quad))
-    if op_id == "pairing-identity":
-        measure = gamma.InvariantMeasure(gamma.SignatureSpec(*config.signature), 1.0)
-        s1, other = random_state(rng, 2, measure), random_state(rng, 2, measure)
-        # on s1's x bumps: independent draws can have disjoint x supports, where both sides read 0
-        s2 = hspace.HalfDensityState(2, measure, tuple(replace(t, x_factors=s1.terms[0].x_factors) for t in other.terms))
-        return _rel(hspace.inner(s1, s2, quad), hspace.joint_inner(s1, s2, quad))
-    raise ValueError(f"unknown study op {op_id!r}")
-
-
-STUDY_OPS = (
-    "unitarity",
-    "identity-diffeo",
-    "measure-invariance-n1",
-    "measure-invariance-n2",
-    "pushforward-product",
-    "pairing-identity",
-)
+# study op -> the suite case (label prefix, trial) it runs at every rung
+_STUDY_CASES = {
+    "unitarity": ("unit", 0),
+    "measure-invariance-n1": ("inv-n1", 0),
+    "measure-invariance-n2": ("inv-n2", 0),
+    "pushforward-product": ("push", 3),
+    "pairing-identity": ("pairid", 0),
+}
+STUDY_OPS = tuple(_STUDY_CASES)
 
 
 def convergence_study(op_id: str, node_ladder: Sequence[int], config: SuiteConfig | None = None) -> list[StudyRow]:
+    """The op's suite case at each node count; a rung is the worst ``rel_err`` of its rows at that count."""
+    if op_id not in _STUDY_CASES:
+        raise ValueError(f"unknown study op {op_id!r}")
     if list(node_ladder) != sorted(set(node_ladder)):
         raise ValueError("node ladder must be strictly increasing")
     config = config or SuiteConfig()
-    return [StudyRow(op_id, n, _study_case(op_id, config, n)) for n in node_ladder]
+    prefix, i = _STUDY_CASES[op_id]
+    rows = []
+    for n in node_ladder:
+        out = _Rows(op_id, replace(config, nodes_per_dim=n))
+        _run_case(prefix, i, out)
+        # measure-invariance also writes a row at 2n nodes, which is not this rung's
+        rows.append(StudyRow(op_id, n, max(r.rel_err for r in out.rows if r.nodes == n)))
+    return rows
 
 
 def study_decays(rows: Sequence[StudyRow]) -> bool:

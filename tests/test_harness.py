@@ -99,6 +99,7 @@ def test_config_loads_accepts_integer_catalog_params():
     (["study", "unitarity", "--ladder", "16,8"], None),
     (["study", "unitarity", "--ladder", "a"], None),
     (["verify", "rescaling"], '{"diffeo_catalog": []}'),  # used to run the default catalog
+    (["study", "unitarity", "--ladder", "4,8"], None),  # used to run below the suites' node floor
 ])
 def test_refused_cli_input_is_a_usage_error(argv, config, tmp_path, capsys):
     # each of these used to end in a Python traceback
@@ -276,7 +277,7 @@ def test_cli_config_file_overrides_only_the_keys_it_names(tmp_path):
 
 def test_cli_study(tmp_path, capsys):
     out = tmp_path / "study.txt"
-    code = main(["study", "identity-diffeo", "--ladder", "16,32", "--out", str(out)])
+    code = main(["study", "pushforward-product", "--ladder", "16,32", "--out", str(out)])
     assert code == 0
     assert "decay: yes" in capsys.readouterr().out
     assert out.exists()
@@ -307,6 +308,8 @@ def test_pairing_identity_study_compares_nonzero_inner_products(monkeypatch):
     monkeypatch.setattr(hspace, "inner", recording_inner)
     rows = convergence_study("pairing-identity", [16, 32])
     assert len(seen) == 2 and all(v != 0 for v in seen)
+    # both states are pulled through sine(0.45), so the first rung reads quadrature error, not rounding
+    assert rows[0].rel_err > 1e-12
     assert study_decays(rows)
 
 
@@ -324,9 +327,6 @@ def test_pairing_continuity_draws_block_counts_up_to_n_max(monkeypatch):
 
 
 def test_convergence_studies():
-    rows = convergence_study("identity-diffeo", [16, 32])
-    assert all(r.rel_err == 0.0 for r in rows)
-    assert study_decays(rows)
     rows = convergence_study("unitarity", [16, 32, 64])
     assert rows[0].rel_err > rows[-1].rel_err
     assert study_decays(rows)
@@ -336,6 +336,20 @@ def test_convergence_studies():
         convergence_study("unitarity", [32, 16])
     with pytest.raises(ValueError):
         convergence_study("bogus-op", [16, 32])
+
+
+@pytest.mark.parametrize("op", [op for op in STUDY_OPS if op != "pairing-identity"])
+def test_study_rung_is_the_suite_row_of_its_case(op):
+    # a study runs a suite's own case function, so at the suite's default nodes it reads that case's rows
+    prefix, i = harness._STUDY_CASES[op]
+    suite = next(name for name, (prefixes, *_) in harness._SUITES.items() if prefix in prefixes)
+    config = default_config(suite, trials=i + 1)
+    n = config.nodes_per_dim
+    label = f"{prefix}-{i:03d}"
+    rows = [r for r in run_suite(suite, config).rows if r.case_id.startswith(label) and r.nodes == n]
+    assert rows
+    (rung,) = convergence_study(op, [n])
+    assert rung.rel_err == max(r.rel_err for r in rows)
 
 
 def test_pairing_continuity_suite():

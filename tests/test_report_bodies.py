@@ -1,4 +1,4 @@
-"""Report bodies pinned by hash, so a change that moves any report byte shows.
+"""Report bodies and the study output pinned by hash, so a change that moves any report byte shows.
 
 Each suite runs at the default seed with at most 3 trials (chart-atlas: 50,
 so that every one of its checks gets at least ten cases).  A change that
@@ -17,6 +17,7 @@ import pytest
 
 import sigcone
 from sigcone import quadrature
+from sigcone.cli import main
 from sigcone.harness import SUITE_NAMES, default_config, run_suite, write_report
 
 PINNED = {
@@ -33,6 +34,8 @@ PINNED = {
     "graded-orthogonality": "6ebcd68a0e53f69657769acd3cd36cdd692df911ed275c2ea676d9901cfe9461",
     "chart-atlas": "51d614cae0432ecf256d0f0d1cc9adf757d9a6d0d182fb8143f28384432295a7",
 }
+# `sigcone study all --ladder 8,16 --out FILE` at the default seed; each study runs a suite's case
+PINNED_STUDY = "fc7207c447bd77ec643feb884bf5478a14fb1a4098f603dc51044e04c0b02ca0"
 
 
 def test_every_suite_is_pinned():
@@ -47,6 +50,12 @@ def test_report_body_matches_pinned_hash(name, tmp_path):
     write_report(path, result)
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digest == PINNED[name], f"report body of suite {name!r} changed"
+
+
+def test_study_output_matches_pinned_hash(tmp_path):
+    path = tmp_path / "study.txt"
+    assert main(["study", "all", "--ladder", "8,16", "--out", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_STUDY, "study output changed"
 
 
 # the two suites with the largest slab-summed grids; no slab boundary may reach a report body
