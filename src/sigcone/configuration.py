@@ -30,9 +30,21 @@ class ChartDomainError(ValueError):
     """A point set does not place exactly one point in every chart box."""
 
 
-def _points(points) -> tuple[tuple[Point, ...], tuple[Point, ...]]:
-    """The one point validator: float tuples of one dimension, finite, separated,
-    returned as given and in decreasing order, sorted once."""
+def _points(points, canonical: bool) -> tuple[Point, ...]:
+    """The one point validator: float tuples of one dimension, finite, separated, sorted once and returned
+    in decreasing order (canonical) or as given.  d = 1 is checked on one flat float list."""
+    points = tuple(points)
+    try:
+        v = [float(x) for (x,) in points]
+    except (TypeError, ValueError):
+        v = None  # not one float per point: the general path raises the error
+    if v:
+        if not all(map(math.isfinite, v)):
+            raise ValueError("point coordinates must be finite")
+        desc = sorted(v, reverse=True)
+        if len(desc) > 1 and min(map(operator.sub, desc, desc[1:])) <= MIN_POINT_SEPARATION:
+            raise DuplicatePointError("points closer than 1e-12 in max norm")
+        return tuple([(x,) for x in (desc if canonical else v)])
     pts = tuple([tuple(map(float, p)) for p in points])
     if not pts:
         raise ValueError("need at least one point")
@@ -46,7 +58,7 @@ def _points(points) -> tuple[tuple[Point, ...], tuple[Point, ...]]:
     desc = tuple(sorted(pts, reverse=True))
     if len(desc) > 1 and _separation(desc) <= MIN_POINT_SEPARATION:
         raise DuplicatePointError("points closer than 1e-12 in max norm")
-    return pts, desc
+    return desc if canonical else pts
 
 
 def _min_separation(pts: Sequence[Point]) -> float:
@@ -78,7 +90,7 @@ class PointTuple:
     points: tuple[Point, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "points", _points(self.points)[0])
+        object.__setattr__(self, "points", _points(self.points, canonical=False))
 
 
 @dataclass(frozen=True)
@@ -92,7 +104,7 @@ class PointSet:
     canonical: tuple[Point, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "canonical", _points(self.canonical)[1])
+        object.__setattr__(self, "canonical", _points(self.canonical, canonical=True))
 
     @property
     def n(self) -> int:
@@ -107,7 +119,8 @@ class PointSet:
         """Flat decreasing coordinates; only meaningful for d = 1."""
         if self.d != 1:
             raise ValueError("flat coordinates are defined for d = 1")
-        return tuple([p[0] for p in self.canonical])
+        (v,) = zip(*self.canonical)
+        return v
 
 
 def project(t: PointTuple) -> PointSet:
@@ -214,10 +227,9 @@ class Diffeo1D:
             return min(vals), max(vals)
         (a,) = self.params
         cands = [math.cos(lo), math.cos(hi)]
-        if math.ceil(lo / math.pi) <= math.floor(hi / math.pi):
-            # an extremum of cos sits inside the interval
-            for mult in range(math.ceil(lo / math.pi), math.floor(hi / math.pi) + 1):
-                cands.append(1.0 if mult % 2 == 0 else -1.0)
+        # cos is +-1 at the multiples of pi inside the interval; the first two give both signs
+        first, last = math.ceil(lo / math.pi), math.floor(hi / math.pi)
+        cands += [1.0 if mult % 2 == 0 else -1.0 for mult in range(first, min(first + 2, last + 1))]
         vals = [1.0 + a * c for c in cands]
         return min(vals), max(vals)
 
@@ -349,16 +361,20 @@ class Chart:
     def d(self) -> int:
         return len(self.lo[0])
 
-    def _locate(self, y: PointSet) -> list[Point]:
+    def _locate(self, y: PointSet) -> list:
+        """The one point in each box, in box order: its coordinate for d = 1, the point for d > 1."""
         if y.n != self.n or y.d != self.d:
             raise ChartDomainError("subset has the wrong size for this chart")
-        chosen: list[Point] = []
-        for k, (lo, hi) in enumerate(zip(self.lo, self.hi)):
-            inside = [p for p in y.canonical if all(map(operator.lt, lo, p)) and all(map(operator.lt, p, hi))]
+        if self.d == 1:
+            v = y.values
+            boxes = [[x for x in v if a < x < b] for (a,), (b,) in zip(self.lo, self.hi)]
+        else:
+            boxes = [[p for p in y.canonical if all(map(operator.lt, lo, p)) and all(map(operator.lt, p, hi))]
+                     for lo, hi in zip(self.lo, self.hi)]
+        for k, inside in enumerate(boxes):
             if len(inside) != 1:
                 raise ChartDomainError(f"box {k} holds {len(inside)} points instead of 1")
-            chosen.append(inside[0])
-        return chosen
+        return [inside[0] for inside in boxes]
 
     def chart_map(self, y: PointSet) -> np.ndarray:
         """Coordinates of a subset in the chart's domain."""
@@ -373,7 +389,7 @@ class Chart:
         lo, hi = itertools.chain(*self.lo), itertools.chain(*self.hi)
         if not (all(map(operator.lt, lo, flat)) and all(map(operator.lt, flat, hi))):
             raise ChartDomainError("coordinates fall outside the chart image")
-        return PointSet(tuple([tuple(flat[k:k + d]) for k in range(0, len(flat), d)]))
+        return PointSet(tuple(zip(*[iter(flat)] * d)))  # consecutive runs of d coordinates
 
     def permuted(self, order: Sequence[int]) -> "Chart":
         order = tuple(order)
@@ -418,20 +434,18 @@ def chart_transition(chart1: Chart, chart2: Chart, coords: np.ndarray) -> np.nda
 
 
 def jacobian_fd(func: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
-    """Richardson-extrapolated central-difference Jacobian, steps 1e-4 and 1e-4 / 2."""
+    """Richardson-extrapolated central-difference Jacobian, steps 1e-4 and 1e-4 / 2.  Row j of each difference,
+    from func at x +- step e_j, is column j, with the float operations of one column at a time."""
     x = np.asarray(x, float)
-    cols = []
-    for j in range(x.size):
-        e = np.zeros_like(x)
-        e[j] = 1.0
 
-        def col(step: float) -> np.ndarray:
-            h = step * e
-            return (func(x + h) - func(x - h)) / (2.0 * step)
+    def rows(step: float) -> np.ndarray:
+        h = step * np.eye(x.size)
+        plus = np.array([func(r) for r in x + h])
+        minus = np.array([func(r) for r in x - h])
+        return (plus - minus) / (2.0 * step)
 
-        c1, c2 = col(1e-4), col(1e-4 / 2.0)
-        cols.append((4.0 * c2 - c1) / 3.0)
-    return np.column_stack(cols)
+    r1, r2 = rows(1e-4), rows(1e-4 / 2.0)
+    return ((4.0 * r2 - r1) / 3.0).T.copy()
 
 
 def block_pullback_vs_per_point(theta, y: PointSet, gammas: Sequence[float]):

@@ -17,9 +17,9 @@ from numpy.polynomial.legendre import leggauss
 Box = tuple[np.ndarray, np.ndarray]
 
 # The most points a slab_sum slab holds where its rows can still be halved.  Every slab array is float64, so the
-# largest (8192 values, 64 KiB) stays below glibc's default 128 KiB mmap threshold, and slab arrays come from the
-# heap instead of fresh zero pages faulted in on every call.
-SLAB_POINTS = 8192
+# largest (16384 values) is 128 KiB, glibc's default mmap threshold: the first such request is mmapped, freeing it
+# raises the threshold past it, and later slab arrays come from the heap, not from zero pages faulted in per call.
+SLAB_POINTS = 16384
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,9 @@ from sigcone.configuration import (
     soft,
     sorted_chart,
 )
-from sigcone.configuration import _min_separation
+from sigcone import configuration
+from sigcone.configuration import _min_separation, jacobian_fd
+from sigcone.harness import DEFAULT_CATALOG
 
 CATALOG = [affine(1.6, 0.35), affine(0.7, -0.8), soft(0.8, 0.9), sine(0.45)]
 
@@ -191,6 +193,71 @@ def test_d1_constructors_refuse_the_same_inputs(values, refused, chart_refused):
     boxes holds a non-finite coordinate or two equal ones."""
     for name, build in _D1_CONSTRUCTORS.items():
         assert _refusal(build, values) is (chart_refused if name == "inverse_map" else refused), name
+
+
+def _general_points(points):
+    """Reference: the validator's path for every dimension d, on per-point tuples; (as given, decreasing)."""
+    pts = tuple(tuple(map(float, p)) for p in points)
+    if not pts:
+        raise ValueError("need at least one point")
+    d = len(pts[0])
+    if not d:
+        raise ValueError("points need at least one coordinate")
+    if any(len(p) != d for p in pts):
+        raise ValueError("points of mixed dimension")
+    if not all(math.isfinite(x) for p in pts for x in p):
+        raise ValueError("point coordinates must be finite")
+    desc = tuple(sorted(pts, reverse=True))
+    if len(desc) > 1 and _pairwise_min_separation(desc) <= MIN_POINT_SEPARATION:
+        raise DuplicatePointError("points closer than 1e-12 in max norm")
+    return pts, desc
+
+
+def _outcome(build, points):
+    """The float tuples build returns with the sign of every coordinate, or the type and message it raises."""
+    try:
+        got = build(points)
+    except ValueError as err:
+        return type(err), str(err)
+    return got, [[math.copysign(1.0, x) for x in p] for p in got]
+
+
+@st.composite
+def _d1_inputs(draw):
+    """N = 0..6 one-coordinate points as tuples, lists or 1-element arrays of floats, ints or np.float64;
+    zeros of both signs, near-floor gaps and non-finite values are common."""
+    x = (st.floats(-4.0, 4.0) | st.sampled_from([0.0, -0.0, 1e-12, _ABOVE, -_BELOW, math.inf, math.nan])
+         | st.integers(-3, 3))
+    pts = []
+    for v in draw(st.lists(x, max_size=6)):
+        v = draw(st.sampled_from([lambda v: v, np.float64]))(v)
+        pts.append(draw(st.sampled_from([lambda v: (v,), lambda v: [v], lambda v: np.array([v])]))(v))
+    return pts
+
+
+@given(_d1_inputs())
+@example([(-0.0,)])
+@example([[-0.0]])
+@example([np.array([-0.0]), (2,)])
+@example([(1.0,), (2.0, 3.0)])
+@example([(1.0,), ()])
+def test_d1_points_equal_the_general_path(points):
+    """The flat d = 1 path of _points returns the general path's float tuples, zero signs included, and
+    refuses what it refuses with the same type and message."""
+    for cls, field, k in ((PointSet, "canonical", 1), (PointTuple, "points", 0)):
+        got = _outcome(lambda p: getattr(cls(tuple(p)), field), points)
+        assert got == _outcome(lambda p: _general_points(p)[k], points), cls.__name__
+
+
+def test_lone_negative_zero_keeps_its_sign():
+    for y in (PointSet(((-0.0,),)).canonical, PointTuple(((-0.0,),)).points, point_set(-0.0).canonical):
+        assert y == ((0.0,),) and math.copysign(1.0, y[0][0]) == -1.0
+
+
+def test_mixed_dimensions_are_refused():
+    for cls in (PointSet, PointTuple):
+        with pytest.raises(ValueError, match="points of mixed dimension"):
+            cls([(1.0,), (2.0, 3.0)])
 
 
 def _open_boxes_meet(lo, hi):
@@ -357,6 +424,31 @@ def test_deriv_range_brackets_samples(theta, rng):
         assert dmin > 0
 
 
+def _sine_deriv_range_loop(a, lo, hi):
+    """Reference: the sine bounds with one candidate per multiple of pi in [lo, hi]."""
+    cands = [math.cos(lo), math.cos(hi)]
+    for mult in range(math.ceil(lo / math.pi), math.floor(hi / math.pi) + 1):
+        cands.append(1.0 if mult % 2 == 0 else -1.0)
+    vals = [1.0 + a * c for c in cands]
+    return min(vals), max(vals)
+
+
+@given(st.floats(-0.99, 0.99), st.floats(-20.0, 20.0), st.floats(0.0, 20.0) | st.sampled_from([0.0, math.pi]))
+@example(0.45, 0.0, 0.0)
+@example(0.45, math.pi, math.pi)
+@example(-0.45, -math.pi, 2 * math.pi)
+@example(0.45, 0.5, 2.0)
+def test_sine_deriv_range_equals_the_loop_over_every_multiple_of_pi(a, lo, width):
+    hi = lo + width
+    assert sine(a).deriv_range(lo, hi) == _sine_deriv_range_loop(a, lo, hi)
+
+
+def test_sine_deriv_range_of_a_wide_interval_takes_two_multiples_of_pi():
+    # one candidate per multiple of pi would build a list of 6e11 floats here
+    for a in (0.45, -0.45, 0.0):
+        assert sine(a).deriv_range(-1e12, 1e12) == (1.0 - abs(a), 1.0 + abs(a))
+
+
 def test_composed_diffeo_consistency(rng):
     comp = ComposedDiffeo(affine(1.6, 0.35), sine(0.45))
     x = rng.uniform(-3, 3, size=50)
@@ -419,6 +511,41 @@ def test_block_pullback_matches_per_point_law(theta, rng):
         fd, pred, off = block_pullback_vs_per_point(theta, y, gammas)
         assert np.max(np.abs(fd - pred) / np.abs(pred)) < 1e-10
         assert off < 1e-10
+
+
+def _jacobian_fd_per_column(func, x):
+    """Reference: jacobian_fd one column at a time."""
+    cols = []
+    for j in range(x.size):
+        e = np.zeros_like(x)
+        e[j] = 1.0
+
+        def col(step):
+            h = step * e
+            return (func(x + h) - func(x - h)) / (2.0 * step)
+
+        c1, c2 = col(1e-4), col(1e-4 / 2.0)
+        cols.append((4.0 * c2 - c1) / 3.0)
+    return np.column_stack(cols)
+
+
+def _same_bits(got, want):
+    return got.shape == want.shape and got.flags.c_contiguous and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("theta", [*DEFAULT_CATALOG, ComposedDiffeo(soft(0.8, 0.9), sine(0.45))])
+def test_jacobian_fd_equals_the_per_column_loop_bit_for_bit(theta, rng, monkeypatch):
+    """Through block_pullback_vs_per_point's own expr, n = 1..5, on a dense linear map, and on a rough dense map:
+    smooth maps lose the low bits of their differences to cancellation, its differences keep every bit."""
+    calls = []
+    monkeypatch.setattr(configuration, "jacobian_fd", lambda func, x: calls.append((func, x)) or jacobian_fd(func, x))
+    for n in range(1, 6):
+        block_pullback_vs_per_point(theta, point_set(*np.cumsum(rng.uniform(1.0, 2.0, size=n))), np.ones(n))
+        expr, x = calls[-1]
+        dense = rng.uniform(-1.0, 1.0, size=(n + 1, n))
+        for func in (expr, lambda v: dense @ v, lambda v: np.sin(1e4 * (dense @ v))):
+            assert x.size == n and _same_bits(jacobian_fd(func, x), _jacobian_fd_per_column(func, x))
+        assert np.allclose(jacobian_fd(lambda v: dense @ v, x), dense, rtol=0.0, atol=1e-10)
 
 
 def test_one_metric_pull_back_is_checked_by_chart_atlas(monkeypatch):

@@ -110,8 +110,8 @@ def test_slab_sum_equals_rule_sum_of_the_whole_grid(slab_points, dim, dtype, mon
         got = slab_sum(m, dim, slab_total)
         assert got == rule_sum(wts, vals.copy())
         assert [i for i, _ in slabs] == [0] + [j for _, j in slabs[:-1]] and slabs[-1][1] == m
-        if m == 64 and dim == 3:  # 4096-point rows: two per slab at the default 8192 points, one at 128 or 1024
-            rows = 2 if slab_points is None else 1
+        if m == 64 and dim == 3:  # 4096-point rows: four per slab at the default 16384 points, one at 128 or 1024
+            rows = 4 if slab_points is None else 1
             assert slabs == [(i, i + rows) for i in range(0, m, rows)]
 
 
