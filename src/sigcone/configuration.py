@@ -445,7 +445,7 @@ def jacobian_fd(func: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.n
         return (plus - minus) / (2.0 * step)
 
     r1, r2 = rows(1e-4), rows(1e-4 / 2.0)
-    return ((4.0 * r2 - r1) / 3.0).T.copy()
+    return ((4.0 * r2 - r1) / 3.0).T.copy()  # C order, the layout np.column_stack gave the products downstream
 
 
 def block_pullback_vs_per_point(theta, y: PointSet, gammas: Sequence[float]):
