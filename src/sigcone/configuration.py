@@ -235,8 +235,8 @@ class Diffeo1D:
 
 
 def _monotone_inverse(theta, y: np.ndarray) -> np.ndarray:
-    """Invert a strictly increasing map by safeguarded Newton iteration, per element:
-    an array call returns, bit for bit, the floats of one call per element."""
+    """Invert a strictly increasing map by safeguarded Newton iteration, per element: an array call returns, bit
+    for bit, the floats of one call per element (hspace.pullback inverts all its x boxes in one call)."""
     y = np.asarray(y, float)
     scalar = y.ndim == 0
     y = np.atleast_1d(y).astype(float)

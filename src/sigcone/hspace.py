@@ -21,7 +21,7 @@ so the only error in the unitarity checks is quadrature error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from typing import Mapping, Sequence
 
@@ -75,27 +75,22 @@ class BumpStateTerm:
 
 @dataclass(frozen=True)
 class PulledStateTerm:
-    """A term pulled back through an increasing diffeomorphism of the line."""
+    """A term pulled back through an increasing diffeomorphism of the line; x_box is
+    the preimage of the base term's x box, which pullback inverts and scaled passes on."""
 
     base: "BumpStateTerm | PulledStateTerm"
     theta: object
+    x_box: tuple[np.ndarray, np.ndarray] = field(compare=False, repr=False)
 
     @property
     def n_blocks(self) -> int:
         return self.base.n_blocks
 
     @cached_property
-    def x_box(self) -> tuple[np.ndarray, np.ndarray]:
-        lo, hi = self.base.x_box
-        x = np.asarray(self.theta.inverse(np.concatenate([lo, hi])), float)
-        return x[: len(lo)], x[len(lo):]
-
-    @cached_property
     def gamma_box(self) -> tuple[np.ndarray, np.ndarray]:
         glo, ghi = self.base.gamma_box
         xlo, xhi = self.x_box
-        los = np.empty_like(glo)
-        his = np.empty_like(ghi)
+        los, his = np.empty_like(glo), np.empty_like(ghi)
         for k in range(len(glo)):
             dmin, dmax = self.theta.deriv_range(float(xlo[k]), float(xhi[k]))
             if not dmin > 0.0:
@@ -112,8 +107,7 @@ class PulledStateTerm:
                 for (a, c, w), dk in zip(base, d)]
 
     def scaled(self, z: complex) -> "PulledStateTerm":
-        return PulledStateTerm(self.base.scaled(z), self.theta)
-
+        return PulledStateTerm(self.base.scaled(z), self.theta, self.x_box)
 
 
 @dataclass(frozen=True)
@@ -177,12 +171,23 @@ def _columns(n_blocks: int, *arrays) -> list[list[np.ndarray]]:
 # -- pairing and inner product -------------------------------------------------
 
 
-def _pair_blocks(t1, t2, xs: Sequence[np.ndarray], measure: InvariantMeasure, m: int) -> list[np.ndarray]:
-    """One term pair's gamma-paired integrand at x values given per block
-    (see BumpStateTerm.blocks), as one factor per block: block k's gamma
-    integral depends on x^k only, so it is taken once per value in xs[k]."""
-    return [np.conj(a1) * a2 * bump_pair_integrals(c1, w1, c2, w2, measure, m)
-            for (a1, c1, w1), (a2, c2, w2) in zip(t1.blocks(xs), t2.blocks(xs))]
+def _paired_factors(pairs, measure: InvariantMeasure, m: int) -> list[tuple[np.ndarray, ...]]:
+    """Per term pair (t1, t2, xs), one gamma-paired factor per block at x values given per block (see
+    BumpStateTerm.blocks): conj(a1) * a2 times block k's gamma integral at xs[k].  Each term's blocks are
+    evaluated once per xs object, and all the integrals are rows of one bump_pair_integrals call.  Its rows are
+    independent, so each equals a call of its own bit for bit, and a row equal to the one before it (a plain
+    term's gamma bump is the same at every x) reuses that row's integral."""
+    if not pairs:
+        return []
+    todo = {(id(t), id(xs)): (t, xs) for t1, t2, xs in pairs for t in (t1, t2)}
+    blocks = {key: t.blocks(xs) for key, (t, xs) in todo.items()}
+    cols = [col for t1, t2, xs in pairs for col in zip(blocks[id(t1), id(xs)], blocks[id(t2), id(xs)])]
+    cw = np.array([[col[i][j] for col in cols] for i in (0, 1) for j in (1, 2)]).reshape(4, -1)
+    new = np.ones(cw.shape[1], bool)
+    new[1:] = np.any(cw[:, 1:] != cw[:, :-1], axis=0)  # differs from the row before
+    rows = bump_pair_integrals(*cw[:, new], measure, m)[np.cumsum(new) - 1].reshape(len(cols), -1)
+    factors = [np.conj(a1) * a2 * r for ((a1, _, _), (a2, _, _)), r in zip(cols, rows)]
+    return list(zip(*[iter(factors)] * (len(factors) // len(pairs))))  # consecutive runs of one pair's blocks
 
 
 def pair_to_density(s1: HalfDensityState, s2: HalfDensityState, quad: QuadConfig) -> "PairedDensity":
@@ -205,12 +210,12 @@ class PairedDensity:
         return intersect_box(h1[0], h1[1], h2[0], h2[1])
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        """The density at points x of shape (P, n_blocks)."""
+        """The density at points x of shape (P, n_blocks): the term pairs' _paired_factors, summed t1-major."""
         (xs,) = _columns(self.s1.n_blocks, x)
+        pairs = [(t1, t2, xs) for t1 in self.s1.terms for t2 in self.s2.terms]
         out = np.zeros(np.shape(x)[0], dtype=complex)
-        for t1 in self.s1.terms:
-            for t2 in self.s2.terms:
-                out += reduce(np.multiply, _pair_blocks(t1, t2, xs, self.s1.measure, self.quad.nodes_per_dim))
+        for factors in _paired_factors(pairs, self.s1.measure, self.quad.nodes_per_dim):
+            out += reduce(np.multiply, factors)
         return out
 
 
@@ -218,21 +223,26 @@ def inner(s1: HalfDensityState, s2: HalfDensityState, quad: QuadConfig) -> compl
     """<s1|s2>: per term pair, x quadrature of the gamma-paired integrand.
 
     Each pair is integrated over the intersection of its own x boxes, which
-    keeps every bump fully resolved.  The pair's block factors are evaluated
-    on their own axes and multiplied over the tensor grid, equal bit for bit
-    to PairedDensity at the grid points.
+    keeps every bump fully resolved; pairs with bit-equal boxes share its rule
+    and their terms' blocks.  A pair's block factors are multiplied over the
+    tensor grid, equal bit for bit to PairedDensity at the grid points.
     """
     _check_compatible(s1, s2)
     m = quad.nodes_per_dim
-    total = 0.0 + 0.0j
+    rules, pairs, weights = {}, [], []
     for t1 in s1.terms:
         for t2 in s2.terms:
             box = intersect_box(*t1.x_box, *t2.x_box)
             if box is None:
                 continue
-            _, wts = tensor_rule(box[0], box[1], m)
-            nodes = [gl_rule(lo, hi, m)[0] for lo, hi in zip(*box)]
-            total += rule_sum(wts, np.ravel(grid_product(_pair_blocks(t1, t2, nodes, s1.measure, m))))
+            key = np.concatenate(box).tobytes()  # bit-equal boxes share one rule and one set of nodes
+            if key not in rules:
+                rules[key] = tensor_rule(box[0], box[1], m)[1], [gl_rule(lo, hi, m)[0] for lo, hi in zip(*box)]
+            weights.append(rules[key][0])
+            pairs.append((t1, t2, rules[key][1]))
+    total = 0.0 + 0.0j
+    for wts, factors in zip(weights, _paired_factors(pairs, s1.measure, m)):
+        total += rule_sum(wts, np.ravel(grid_product(factors)))
     return complex(total)
 
 
@@ -276,8 +286,17 @@ def norm(s: HalfDensityState, quad: QuadConfig) -> float:
 
 def pullback(theta, s: HalfDensityState) -> HalfDensityState:
     """Pull a state back through an increasing diffeomorphism of the line
-    (PulledStateTerm.gamma_box checks that it increases on the support)."""
-    return HalfDensityState(s.n_blocks, s.measure, tuple(PulledStateTerm(t, theta) for t in s.terms))
+    (PulledStateTerm.gamma_box checks that it increases on the support).
+
+    The corners of all distinct x boxes go through one theta.inverse call,
+    which is per element: each equals a call of its own bit for bit.
+    """
+    keys = [np.concatenate(t.x_box).tobytes() for t in s.terms]
+    boxes = dict(zip(keys, (t.x_box for t in s.terms)))
+    x = np.asarray(theta.inverse(np.ravel(list(boxes.values()))), float)
+    moved = dict(zip(boxes, x.reshape(-1, 2, s.n_blocks)))  # per box, its lo and hi rows
+    terms = tuple(PulledStateTerm(t, theta, tuple(moved[k])) for t, k in zip(s.terms, keys))
+    return HalfDensityState(s.n_blocks, s.measure, terms)
 
 
 def rescale_iso(s: HalfDensityState, c_new: float) -> HalfDensityState:

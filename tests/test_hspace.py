@@ -1,16 +1,20 @@
 import warnings
+from dataclasses import replace
+from functools import reduce
 
 import numpy as np
 import pytest
 from scipy.integrate import quad as sciquad
 
+from sigcone import hspace
 from sigcone.configuration import ComposedDiffeo, affine, identity, sine, soft
-from sigcone.fibers import BumpFunction
+from sigcone.fibers import BumpFunction, bump_pair_integrals
 from sigcone.gamma import InvariantMeasure, SignatureSpec
 from sigcone.harness import DEFAULT_CATALOG, random_state
 from sigcone.hspace import (
     BumpStateTerm,
     HalfDensityState,
+    PulledStateTerm,
     counterexample_profile,
     fit_divergence,
     graded_inner,
@@ -21,7 +25,7 @@ from sigcone.hspace import (
     pullback,
     rescale_iso,
 )
-from sigcone.quadrature import QuadConfig, quad_1d, rule_sum, tensor_rule
+from sigcone.quadrature import QuadConfig, gl_rule, grid_product, intersect_box, quad_1d, rule_sum, tensor_rule
 
 MEAS = InvariantMeasure(SignatureSpec(1, 0), 1.0)
 QUAD = QuadConfig(48)
@@ -157,15 +161,23 @@ def test_joint_inner_agrees(rng):
         assert abs(a - b) < 1e-10 * abs(a)
 
 
-def overlapping_pair(rng, n_blocks, n_terms):
+def overlapping_pair(rng, n_blocks, n_terms, measure=MEAS):
     """Two states whose x boxes overlap: s2 shifts s1's x bumps by 0.1."""
-    s1 = random_state(rng, n_blocks, MEAS, n_terms)
-    other = random_state(rng, n_blocks, MEAS, n_terms)
-    terms = tuple(
-        BumpStateTerm(b.coeff, tuple(BumpFunction(f.center + 0.1, f.width) for f in a.x_factors), b.g_factors)
-        for a, b in zip(s1.terms, other.terms)
-    )
-    return s1, HalfDensityState(n_blocks, MEAS, terms)
+    s1 = random_state(rng, n_blocks, measure, n_terms)
+    return s1, shifted(on_x_bumps(s1, random_state(rng, n_blocks, measure, n_terms)), 0.1)
+
+
+def on_x_bumps(s, other):
+    """other's terms on the x bumps that the terms of s share."""
+    terms = tuple(replace(t, x_factors=s.terms[0].x_factors) for t in other.terms)
+    return HalfDensityState(s.n_blocks, s.measure, terms)
+
+
+def shifted(s, dx):
+    """s with every x bump moved by dx."""
+    terms = tuple(replace(t, x_factors=tuple(BumpFunction(f.center + dx, f.width) for f in t.x_factors))
+                  for t in s.terms)
+    return HalfDensityState(s.n_blocks, s.measure, terms)
 
 
 PULLS = {
@@ -184,6 +196,66 @@ def test_inner_grid_path_equals_point_path_bit_for_bit(rng, n_blocks, pull):
     total = point_path(pair_to_density(s1, s2, q))
     assert total != 0
     assert inner(s1, s2, q) == total
+
+
+def loop_pair_blocks(t1, t2, xs, measure, m):
+    """Reference: one term pair's block factors, one kernel call per block."""
+    return [np.conj(a1) * a2 * bump_pair_integrals(c1, w1, c2, w2, measure, m)
+            for (a1, c1, w1), (a2, c2, w2) in zip(t1.blocks(xs), t2.blocks(xs))]
+
+
+def loop_inner(s1, s2, quad):
+    """Reference: inner as a loop over term pairs, each with its own rule and blocks."""
+    m = quad.nodes_per_dim
+    total = 0.0 + 0.0j
+    for t1 in s1.terms:
+        for t2 in s2.terms:
+            box = intersect_box(*t1.x_box, *t2.x_box)
+            if box is None:
+                continue
+            _, wts = tensor_rule(box[0], box[1], m)
+            nodes = [gl_rule(lo, hi, m)[0] for lo, hi in zip(*box)]
+            total += rule_sum(wts, np.ravel(grid_product(loop_pair_blocks(t1, t2, nodes, s1.measure, m))))
+    return complex(total)
+
+
+def loop_density(s1, s2, quad, x):
+    """Reference: PairedDensity as a loop over term pairs."""
+    xs = list(np.array(np.asarray(x, float).T))
+    out = np.zeros(len(x), dtype=complex)
+    for t1 in s1.terms:
+        for t2 in s2.terms:
+            out += reduce(np.multiply, loop_pair_blocks(t1, t2, xs, s1.measure, quad.nodes_per_dim))
+    return out
+
+
+@pytest.mark.parametrize("sig", [(1, 0), (0, 1)], ids=["1-0", "0-1"])
+@pytest.mark.parametrize("pull", sorted(PULLS))
+@pytest.mark.parametrize("n_blocks", [1, 2, 3, 4])
+def test_inner_and_density_equal_the_term_pair_loop_bit_for_bit(rng, n_blocks, pull, sig):
+    q = QuadConfig(12 if n_blocks == 4 else 20)
+    measure = InvariantMeasure(SignatureSpec(*sig), 1.3)
+    # 3-term states on shared x bumps: s2's sit 0.1 from s1's, far's 50 away
+    s1, s2 = overlapping_pair(rng, n_blocks, 3, measure)
+    far = shifted(s2, 50.0)
+    zero = HalfDensityState(n_blocks, measure, ())
+    a, b, mix, z = (PULLS[pull](s) for s in (s1, s2, s1 + far + s2, zero))
+    cases = [(a, b), (b, a), (a, a), (mix, mix), (mix, b), (a, z), (z, z)]
+    assert loop_inner(a, b, q) != 0 and loop_inner(mix, a, q) != 0
+    for u, v in cases:
+        assert inner(u, v, q) == loop_inner(u, v, q)
+    lo, hi = a.terms[0].x_box
+    x = lo + np.linspace(0.3, 0.6, 5)[:, None] * (hi - lo)
+    assert np.all(loop_density(a, b, q, x) != 0)
+    for u, v in cases:
+        assert np.array_equal(pair_to_density(u, v, q)(x), loop_density(u, v, q, x))
+    # pullback's one inverse call gives every term the box of a call of its own
+    terms = list(mix.terms)
+    while terms:
+        t = terms.pop()
+        if isinstance(t, PulledStateTerm):
+            assert np.concatenate(t.x_box).tolist() == t.theta.inverse(np.concatenate(t.base.x_box)).tolist()
+            terms.append(t.base)
 
 
 @pytest.mark.parametrize("sig", [(1, 0), (0, 1)], ids=["1-0", "0-1"])
@@ -300,11 +372,52 @@ def test_pulled_term_boxes_are_computed_once(rng):
 
     s = random_state(rng, 2, MEAS, 3)
     p = pullback(CountedSine(), s)
-    assert calls == [(4,)] * 3  # one call per term, on both corners of both blocks
+    assert calls == [(4,)]  # the terms share one x box: one call, on both corners of both blocks
     inner(p, p, QuadConfig(8))
     joint_inner(p, p, QuadConfig(8))
     p.x_hull(), p.gamma_hull()
-    assert len(calls) == 3
+    rescale_iso(p, 2.0)  # scaled terms keep their boxes
+    assert len(calls) == 1
+    pullback(CountedSine(), s + shifted(s, 5.0))
+    assert calls[1:] == [(8,)]  # two distinct boxes, still one call
+    assert pullback(CountedSine(), HalfDensityState(2, MEAS, ())).terms == ()
+
+
+def test_inner_and_density_evaluate_each_term_once_per_box(rng, monkeypatch):
+    # two T-term states on one x box: one rule, 2T block evaluations (T when
+    # both sides are one state) and one gamma-kernel call for all pairs and blocks
+    counts = {}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            if name == "kernel":
+                counts["rows"] = len(args[0])
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for cls in (BumpStateTerm, PulledStateTerm):
+        monkeypatch.setattr(cls, "blocks", counted(cls.__name__, cls.blocks))
+    monkeypatch.setattr(hspace, "tensor_rule", counted("tensor_rule", hspace.tensor_rule))
+    monkeypatch.setattr(hspace, "bump_pair_integrals", counted("kernel", hspace.bump_pair_integrals))
+    n_terms = 3
+    s1 = random_state(rng, 2, MEAS, n_terms)
+    s2 = on_x_bumps(s1, random_state(rng, 2, MEAS, n_terms))
+    q = QuadConfig(8)
+    for pull in ("plain", "sine"):
+        a, b = PULLS[pull](s1), PULLS[pull](s2)
+        term = type(a.terms[0]).__name__
+        lo, hi = a.terms[0].x_box
+        x = ((lo + hi) / 2)[None, :]
+        # a plain term's gamma bump is the same at every node: one kernel row per pair and block
+        rows = 2 * n_terms**2 * (1 if pull == "plain" else q.nodes_per_dim)
+        for u, v, evals in ((a, b, 2 * n_terms), (a, a, n_terms)):
+            counts.clear()
+            assert inner(u, v, q) != 0
+            assert (counts[term], counts["tensor_rule"], counts["kernel"], counts["rows"]) == (evals, 1, 1, rows)
+            counts.clear()
+            assert pair_to_density(u, v, q)(x)[0] != 0
+            assert (counts[term], counts.get("tensor_rule", 0), counts["kernel"]) == (evals, 0, 1)
 
 
 def test_pullback_unitary(rng):
