@@ -13,7 +13,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -312,9 +312,36 @@ def pulled_back_metric(gamma, dtheta):
 
 def induced_diffeo(theta: Callable, y: PointSet) -> PointSet:
     """Apply a 1-D diffeomorphism point by point and re-canonicalize."""
-    if y.d != 1:
-        raise ValueError("induced maps are implemented over the line")
-    return PointSet(tuple([(v,) for v in np.asarray(theta(np.array(y.values)), float).tolist()]))
+    return next(induced_diffeo_many(theta, [y]))
+
+
+def induced_diffeo_many(theta: Callable, ys: Iterable[PointSet]) -> Iterator[PointSet]:
+    """induced_diffeo of every subset in ys, in order, from one theta call on all their coordinates, so theta
+    must act per element, as the catalog maps and their inverses do.  ys is read once, before the call, into
+    one float array, and each image PointSet is built when the returned iterator reaches it, so a long
+    stream of subsets is never held as Python objects."""
+    sizes = []
+
+    def coords():
+        for y in ys:
+            if y.d != 1:
+                raise ValueError("induced maps are implemented over the line")
+            sizes.append(y.n)
+            yield from y.values
+
+    out = np.asarray(theta(np.fromiter(coords(), float)), float)
+    if out.shape != (sum(sizes),):
+        raise ValueError(f"the map returned {out.size} values for {sum(sizes)} points")
+    ends = itertools.accumulate(sizes)
+    return (PointSet(tuple([(v,) for v in out[e - n:e].tolist()])) for n, e in zip(sizes, ends))
+
+
+def pull_back_sets(theta, ys: Sequence[PointSet]) -> tuple[list[PointSet], list[np.ndarray]]:
+    """The pre-images theta^{-1}(y) of many subsets and theta' at each pre-image's points, in canonical
+    order, from one theta.inverse and one theta.deriv call."""
+    pre = list(induced_diffeo_many(theta.inverse, ys))
+    d = np.asarray(theta.deriv(np.array([v for x in pre for v in x.values], float)))
+    return pre, np.split(d, np.cumsum([x.n for x in pre])[:-1])
 
 
 # -- local charts ---------------------------------------------------------------
@@ -432,40 +459,59 @@ def chart_transition(chart1: Chart, chart2: Chart, coords: np.ndarray) -> np.nda
 
 # -- numerical tangent map of an induced diffeomorphism -------------------------
 
-
-def jacobian_fd(func: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
-    """Richardson-extrapolated central-difference Jacobian, steps 1e-4 and 1e-4 / 2.  Row j of each difference,
-    from func at x +- step e_j, is column j, with the float operations of one column at a time."""
-    x = np.asarray(x, float)
-
-    def rows(step: float) -> np.ndarray:
-        h = step * np.eye(x.size)
-        plus = np.array([func(r) for r in x + h])
-        minus = np.array([func(r) for r in x - h])
-        return (plus - minus) / (2.0 * step)
-
-    r1, r2 = rows(1e-4), rows(1e-4 / 2.0)
-    return ((4.0 * r2 - r1) / 3.0).T.copy()  # C order, the layout np.column_stack gave the products downstream
+FD_STEPS = (1e-4, 1e-4 / 2.0)
 
 
-def block_pullback_vs_per_point(theta, y: PointSet, gammas: Sequence[float]):
-    """Pull a block-diagonal scalar product back through the induced map.
+def jacobian_fd(func: Callable[[Iterator[list]], Iterable], xs: Sequence) -> list[np.ndarray]:
+    """Richardson-extrapolated central-difference Jacobians at many points, steps 1e-4 and 1e-4 / 2.
 
-    Returns the blocks of J^T diag(gammas) J, with J the finite-difference
-    Jacobian of the induced map in sorted coordinates at theta^{-1}(y), and
-    the per-point prediction theta'(x)^2 gamma at the matching points.
+    func is called once, on an iterator over every perturbed point x +- step e_j of every x in xs, as float
+    lists, and returns one value sequence per perturbed point, in order; both are read one size of x at a
+    time.  Row j of each difference is column j of that x's Jacobian, with the float operations of one
+    column at a time.
     """
-    if y.d != 1:
+    xs = [np.asarray(x, float).ravel() for x in xs]
+    groups = {}
+    for i, x in enumerate(xs):
+        groups.setdefault(x.size, []).append(i)
+    perturbed = []
+    for n, idx in groups.items():
+        pts = np.array([xs[i] for i in idx])[None, :, None, :]
+        h = np.multiply.outer(FD_STEPS, np.eye(n))[:, None]
+        perturbed.append(np.stack([pts + h, pts - h], axis=1).reshape(-1, n))  # (step, sign, point, j) rows
+    values = iter(func(map(np.ndarray.tolist, itertools.chain.from_iterable(perturbed))))
+    jacs = [None] * len(xs)
+    for (n, idx), rows in zip(groups.items(), perturbed):
+        v = np.fromiter(itertools.chain.from_iterable(itertools.islice(values, len(rows))), float)
+        v = v.reshape(len(FD_STEPS), 2, len(idx), n, -1)  # (step, sign, point, j, output)
+        r1, r2 = [(v[s, 0] - v[s, 1]) / (2.0 * step) for s, step in enumerate(FD_STEPS)]
+        jac = (4.0 * r2 - r1) / 3.0
+        for k, i in enumerate(idx):
+            jacs[i] = jac[k].T.copy()  # C order, the layout np.column_stack gave the products downstream
+    return jacs
+
+
+def block_pullback_vs_per_point(theta, ys: Sequence[PointSet], gammas: Sequence) -> list[tuple]:
+    """Pull block-diagonal scalar products back through the induced map, one case per subset.
+
+    For every y in ys with its gammas, returns the blocks of J^T diag(gammas) J, with J the
+    finite-difference Jacobian of the induced map in sorted coordinates at theta^{-1}(y), the per-point
+    prediction theta'(x)^2 gamma at the matching points, and the largest |off-diagonal entry|.  Every
+    case shares one theta.inverse, one theta and one theta.deriv call, as the catalog maps act per element.
+    """
+    if len(ys) != len(gammas):
+        raise ValueError(f"{len(ys)} point sets need as many gamma vectors, not {len(gammas)}")
+    if any([y.d != 1 for y in ys]):
         raise ValueError("implemented over the line")
-    y_pre = induced_diffeo(theta.inverse, y)
-    x_pre = np.asarray(y_pre.values)
+    pre, derivs = pull_back_sets(theta, ys)
 
-    def expr(coords: np.ndarray) -> np.ndarray:
-        return np.asarray(induced_diffeo(theta, point_set(*coords.tolist())).values)
+    def expr(rows: Iterator[list]) -> Iterator[tuple]:
+        return (y.values for y in induced_diffeo_many(theta, (point_set(*r) for r in rows)))
 
-    jac = jacobian_fd(expr, x_pre)
-    big = jac.T @ np.diag(np.asarray(gammas, float)) @ jac
-    fd_blocks = np.diag(big).copy()
-    off = big - np.diag(np.diag(big))
-    predicted = pulled_back_metric(np.asarray(gammas, float), np.asarray(theta.deriv(x_pre)))
-    return fd_blocks, predicted, float(np.abs(off).max() if off.size else 0.0)
+    out = []
+    for jac, g, d in zip(jacobian_fd(expr, [x.values for x in pre]), gammas, derivs):
+        g = np.asarray(g, float)
+        big = jac.T @ np.diag(g) @ jac
+        off = big - np.diag(np.diag(big))
+        out.append((np.diag(big).copy(), pulled_back_metric(g, d), float(np.abs(off).max() if off.size else 0.0)))
+    return out

@@ -15,7 +15,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .configuration import PointSet, induced_diffeo, pulled_back_metric
+from .configuration import PointSet, pull_back_sets, pulled_back_metric
 from .fibers import (
     BumpExpansion,
     BumpFunction,
@@ -108,9 +108,7 @@ def k_pullback(theta, s: SparseSection) -> SparseSection:
     theta'(new point)^2, which for bump fibers is again a bump fiber.
     """
     new_entries = []
-    for y, fib in s.entries:
-        y_new = induced_diffeo(theta.inverse, y)
-        d = np.asarray(theta.deriv(np.asarray(y_new.values)))
+    for y_new, d, (_, fib) in zip(*pull_back_sets(theta, [y for y, _ in s.entries]), s.entries):
         terms = []
         for t in fib.terms:
             centers = pulled_back_metric(np.array([f.center for f in t.factors]), d)

@@ -20,6 +20,7 @@ from sigcone.configuration import (
     chart_transition,
     identity,
     induced_diffeo,
+    induced_diffeo_many,
     local_chart,
     point_set,
     project,
@@ -29,7 +30,7 @@ from sigcone.configuration import (
 )
 from sigcone import configuration
 from sigcone.configuration import _min_separation, jacobian_fd
-from sigcone.harness import DEFAULT_CATALOG
+from sigcone.harness import DEFAULT_CATALOG, SuiteConfig, run_suite
 
 CATALOG = [affine(1.6, 0.35), affine(0.7, -0.8), soft(0.8, 0.9), sine(0.45)]
 
@@ -400,17 +401,21 @@ def test_diffeo_inverse_accuracy(theta, rng):
 
 @pytest.mark.parametrize(
     "theta",
-    [sine(0.45), soft(0.8, 0.9), affine(1.6, 0.35), ComposedDiffeo(soft(0.8, 0.9), sine(0.45))],
-    ids=["sine", "soft", "affine", "soft-after-sine"],
+    [sine(0.45), soft(0.8, 0.9), affine(1.6, 0.35), ComposedDiffeo(soft(0.8, 0.9), sine(0.45)), identity(),
+     affine(0.7, -0.8)],
+    ids=["sine", "soft", "affine", "soft-after-sine", "identity", "affine-contracting"],
 )
 @pytest.mark.filterwarnings("error")
 def test_inverse_is_per_element(theta, rng):
-    # an element's inverse must not depend on the other elements of the array;
-    # far out cosh(k y) overflows, which must not warn on this valid input
+    # an element's inverse, value and derivative must not depend on the other elements of the array, as
+    # induced_diffeo_many and pull_back_sets map many point sets in one call; far out cosh(k y)
+    # overflows, which must not warn on this valid input
     y = np.concatenate([rng.uniform(-1e3, 1e3, 20), rng.uniform(-1.0, 1.0, 20)])
     x = theta.inverse(y)
     assert x.tolist() == [theta.inverse(v) for v in y]
     assert np.all(np.abs(theta(x) - y) <= 1e-14 * (1.0 + np.abs(y)))
+    for f in (theta, theta.deriv):
+        assert f(y).tolist() == [float(f(v)) for v in y] == [f(np.array([v]))[0] for v in y]
 
 
 @pytest.mark.parametrize("theta", CATALOG + [ComposedDiffeo(soft(0.8, 0.9), sine(0.45))])
@@ -504,13 +509,114 @@ def test_one_map_chart_matches_per_box_composition(rng):
 
 @pytest.mark.parametrize("theta", CATALOG)
 def test_block_pullback_matches_per_point_law(theta, rng):
+    ys, gammas = [], []
     for _ in range(10):
         n = int(rng.integers(1, 5))
-        y = point_set(*np.cumsum(rng.uniform(1.0, 2.0, size=n)))
-        gammas = rng.uniform(0.5, 3.0, size=n)
-        fd, pred, off = block_pullback_vs_per_point(theta, y, gammas)
+        ys.append(point_set(*np.cumsum(rng.uniform(1.0, 2.0, size=n))))
+        gammas.append(rng.uniform(0.5, 3.0, size=n))
+    for fd, pred, off in block_pullback_vs_per_point(theta, ys, gammas):
         assert np.max(np.abs(fd - pred) / np.abs(pred)) < 1e-10
         assert off < 1e-10
+
+
+def _block_pullback_per_case(theta, y, gammas):
+    """Reference: block_pullback_vs_per_point for one case, one inverse, map and derivative call of its own
+    and one map call per perturbed point, each through two PointSets, as the check was first written."""
+    y_pre = PointSet(tuple([(v,) for v in np.asarray(theta.inverse(np.array(y.values)), float).tolist()]))
+    x_pre = np.asarray(y_pre.values)
+
+    def expr(coords):
+        moved = np.asarray(theta(np.array(point_set(*coords.tolist()).values)), float).tolist()
+        return np.asarray(PointSet(tuple([(v,) for v in moved])).values)
+
+    jac = _jacobian_fd_per_column(expr, x_pre)
+    big = jac.T @ np.diag(np.asarray(gammas, float)) @ jac
+    fd_blocks = np.diag(big).copy()
+    off = big - np.diag(np.diag(big))
+    predicted = np.asarray(gammas, float) * np.asarray(theta.deriv(x_pre)) ** 2
+    return fd_blocks, predicted, float(np.abs(off).max() if off.size else 0.0)
+
+
+@pytest.mark.parametrize("theta", [*DEFAULT_CATALOG, ComposedDiffeo(soft(0.8, 0.9), sine(0.45))])
+def test_block_pullback_equals_the_per_case_reference_bit_for_bit(theta, rng):
+    """One call on cases of every size n = 1..5, in shuffled order, gives each case the bytes of the
+    per-case reference."""
+    sizes = rng.permutation(np.repeat(np.arange(1, 6), 3))
+    ys = [point_set(*rng.uniform(-1.0, 1.0) + np.cumsum(rng.uniform(0.31, 2.0, size=n))) for n in sizes]
+    gammas = [rng.uniform(0.5, 3.0, size=n) for n in sizes]
+    for got, y, g in zip(block_pullback_vs_per_point(theta, ys, gammas), ys, gammas, strict=True):
+        want = _block_pullback_per_case(theta, y, g)
+        assert [a.tobytes() for a in got[:2]] == [a.tobytes() for a in want[:2]]
+        assert got[2] == want[2]
+
+
+def test_batched_forms_refuse_what_the_one_set_forms_refuse():
+    plane = PointSet(((1.0, 2.0),))
+    with pytest.raises(ValueError, match="induced maps are implemented over the line"):
+        induced_diffeo(sine(0.45), plane)
+    with pytest.raises(ValueError, match="induced maps are implemented over the line"):
+        induced_diffeo_many(sine(0.45), [point_set(1.0), plane])
+    with pytest.raises(ValueError, match="implemented over the line"):
+        block_pullback_vs_per_point(sine(0.45), [point_set(1.0), plane], [np.ones(1), np.ones(1)])
+    with pytest.raises(ValueError, match="gamma vectors"):
+        block_pullback_vs_per_point(sine(0.45), [point_set(1.0), point_set(2.0)], [np.ones(1)])
+    with pytest.raises(ValueError, match="gamma vectors"):
+        block_pullback_vs_per_point(sine(0.45), [point_set(1.0)], [np.ones(1)] * 2)
+    with pytest.raises(ValueError, match="returned 1 values for 2 points"):
+        induced_diffeo_many(lambda v: v[:1], [point_set(1.0), point_set(2.0)])
+    assert list(induced_diffeo_many(sine(0.45), [])) == []
+    assert block_pullback_vs_per_point(sine(0.45), [], []) == []
+    assert jacobian_fd(lambda rows: list(rows), []) == []
+
+
+@st.composite
+def _point_set_lists(draw):
+    """0..6 point sets of 1..5 points each, at most 5 apart from their neighbours and at least 1e-3."""
+    out = []
+    for n in draw(st.lists(st.integers(1, 5), max_size=6)):
+        start = draw(st.floats(-20.0, 20.0))
+        gaps = draw(st.lists(st.floats(1e-3, 5.0), min_size=n - 1, max_size=n - 1))
+        out.append(point_set(*np.cumsum([start, *gaps])))
+    return out
+
+
+@given(_point_set_lists(), st.sampled_from([*DEFAULT_CATALOG, ComposedDiffeo(soft(0.8, 0.9), sine(0.45))]),
+       st.booleans())
+def test_induced_diffeo_many_equals_one_call_per_set(ys, theta, inverse):
+    """The batched induced map, read from a generator of sets, gives every set the floats of its own call,
+    zero signs included, for the catalog maps and their inverses; the one-set form is the same as the
+    per-set reference."""
+    f = theta.inverse if inverse else theta
+
+    def bits(y):
+        return [x.hex() for (x,) in y.canonical]
+
+    per_set = [PointSet(tuple([(v,) for v in np.asarray(f(np.array(y.values)), float).tolist()])) for y in ys]
+    assert [bits(y) for y in induced_diffeo_many(f, (y for y in ys))] == [bits(y) for y in per_set]
+    assert [bits(induced_diffeo(f, y)) for y in ys] == [bits(y) for y in per_set]
+
+
+def test_block_pullback_inverts_once_per_map(monkeypatch):
+    """A default chart-atlas run: the block-pullback check makes one Newton inverse call per non-affine
+    catalog map, so the run makes 2 there and 1000 in the transported-chart check."""
+    calls, inside = [], []
+    newton, check = configuration._monotone_inverse, configuration.block_pullback_vs_per_point
+
+    def counted_newton(theta, y):
+        calls.append(theta)
+        return newton(theta, y)
+
+    def counted_check(theta, ys, gammas):
+        before = len(calls)
+        out = check(theta, ys, gammas)
+        inside.append(len(calls) - before)
+        return out
+
+    monkeypatch.setattr(configuration, "_monotone_inverse", counted_newton)
+    monkeypatch.setattr(configuration, "block_pullback_vs_per_point", counted_check)
+    run_suite("chart-atlas", SuiteConfig(seed=20240613, nodes_per_dim=16, trials=10000))
+    assert inside == [0, 0, 1, 1]  # affine(1.6, 0.35), affine(0.7, -0.8), soft(0.8, 0.9), sine(0.45)
+    assert len(calls) == 1002
 
 
 def _jacobian_fd_per_column(func, x):
@@ -535,17 +641,33 @@ def _same_bits(got, want):
 
 @pytest.mark.parametrize("theta", [*DEFAULT_CATALOG, ComposedDiffeo(soft(0.8, 0.9), sine(0.45))])
 def test_jacobian_fd_equals_the_per_column_loop_bit_for_bit(theta, rng, monkeypatch):
-    """Through block_pullback_vs_per_point's own expr, n = 1..5, on a dense linear map, and on a rough dense map:
-    smooth maps lose the low bits of their differences to cancellation, its differences keep every bit."""
+    """All points at once, n = 1..5 mixed in one call: through block_pullback_vs_per_point's own expr, on a
+    dense linear map of each size, and on a rough dense map: smooth maps lose the low bits of their
+    differences to cancellation, its differences keep every bit.  func is called once per jacobian_fd call."""
     calls = []
-    monkeypatch.setattr(configuration, "jacobian_fd", lambda func, x: calls.append((func, x)) or jacobian_fd(func, x))
-    for n in range(1, 6):
-        block_pullback_vs_per_point(theta, point_set(*np.cumsum(rng.uniform(1.0, 2.0, size=n))), np.ones(n))
-        expr, x = calls[-1]
-        dense = rng.uniform(-1.0, 1.0, size=(n + 1, n))
-        for func in (expr, lambda v: dense @ v, lambda v: np.sin(1e4 * (dense @ v))):
-            assert x.size == n and _same_bits(jacobian_fd(func, x), _jacobian_fd_per_column(func, x))
-        assert np.allclose(jacobian_fd(lambda v: dense @ v, x), dense, rtol=0.0, atol=1e-10)
+    monkeypatch.setattr(configuration, "jacobian_fd",
+                        lambda func, xs: calls.append((func, xs)) or jacobian_fd(func, xs))
+    sizes = [*range(1, 6), *range(5, 0, -1)]
+    block_pullback_vs_per_point(theta, [point_set(*np.cumsum(rng.uniform(1.0, 2.0, size=n))) for n in sizes],
+                                [np.ones(n) for n in sizes])
+    ((expr, xs),) = calls
+    dense = {n: rng.uniform(-1.0, 1.0, size=(n + 1, n)) for n in range(1, 6)}
+    maps = (lambda v: np.asarray(next(expr([v.tolist()]))), lambda v: dense[v.size] @ v,
+            lambda v: np.sin(1e4 * (dense[v.size] @ v)))
+    for f in maps:
+        seen = []
+
+        def many(rows):
+            rows = list(rows)
+            seen.append(len(rows))
+            return [f(np.array(r)) for r in rows]
+
+        jacs = jacobian_fd(many, xs)
+        assert seen == [4 * sum(sizes)]
+        for jac, x, n in zip(jacs, xs, sizes, strict=True):
+            assert len(x) == n and _same_bits(jac, _jacobian_fd_per_column(f, np.asarray(x, float)))
+    for jac, x in zip(jacobian_fd(lambda rows: [dense[len(r)] @ r for r in rows], xs), xs):
+        assert np.allclose(jac, dense[len(x)], rtol=0.0, atol=1e-10)
 
 
 def test_one_metric_pull_back_is_checked_by_chart_atlas(monkeypatch):

@@ -98,6 +98,27 @@ def test_k_pullback_unitary_on_random_sections(theta, rng):
     assert abs(a - b) < 1e-6 * max(abs(a), 1e-30)
 
 
+@pytest.mark.parametrize("theta", [soft(0.8, 0.9), sine(0.45)])
+def test_k_pullback_inverts_once_per_section_with_the_per_entry_floats(theta, rng, monkeypatch):
+    from sigcone import configuration
+
+    s = random_section(rng, 2, MEAS, [random_point_set(rng, 2) for _ in range(4)])
+    want = []
+    for y, _ in s.entries:  # reference: one inverse and one derivative call per entry
+        x = np.asarray(theta.inverse(np.array(y.values)), float)
+        want.append((sorted(x.tolist(), reverse=True), np.asarray(theta.deriv(np.sort(x)[::-1]))))
+    calls = []
+    newton = configuration._monotone_inverse
+    monkeypatch.setattr(configuration, "_monotone_inverse", lambda th, y: calls.append(y.size) or newton(th, y))
+    moved = k_pullback(theta, s)
+    assert calls == [8]
+    for (y, fib), (_, fib_old), (x, d) in zip(moved.entries, s.entries, want, strict=True):
+        assert list(y.values) == x
+        for t, t_old in zip(fib.terms, fib_old.terms, strict=True):
+            assert [f.center for f in t.factors] == (np.array([f.center for f in t_old.factors]) * d**2).tolist()
+            assert [f.width for f in t.factors] == (np.array([f.width for f in t_old.factors]) * d**2).tolist()
+
+
 def test_k_inner_axioms(rng):
     pool = [random_point_set(rng, 1) for _ in range(3)]
     s0 = random_section(rng, 1, MEAS, pool)
