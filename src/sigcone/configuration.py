@@ -9,10 +9,11 @@ every increasing diffeomorphism of the line acts on subsets point by point.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -30,21 +31,26 @@ class ChartDomainError(ValueError):
     """A point set does not place exactly one point in every chart box."""
 
 
-def _points(points, canonical: bool) -> tuple[Point, ...]:
+def _points(points, canonical: bool) -> tuple[tuple[Point, ...], tuple[float, ...] | None]:
     """The one point validator: float tuples of one dimension, finite, separated, sorted once and returned
-    in decreasing order (canonical) or as given.  d = 1 is checked on one flat float list."""
+    in decreasing order (canonical) or as given, with, for d = 1, the flat floats they were checked as."""
     points = tuple(points)
     try:
         v = [float(x) for (x,) in points]
     except (TypeError, ValueError):
         v = None  # not one float per point: the general path raises the error
     if v:
-        if not all(map(math.isfinite, v)):
-            raise ValueError("point coordinates must be finite")
         desc = sorted(v, reverse=True)
-        if len(desc) > 1 and min(map(operator.sub, desc, desc[1:])) <= MIN_POINT_SEPARATION:
+        # a NaN fails every gap test and an infinity leaves the span non-finite; only then is the cause sought
+        ok, a = math.isfinite(desc[0] - desc[-1]), desc[0]
+        for b in desc[1:]:
+            ok, a = ok and a - b > MIN_POINT_SEPARATION, b
+        if not (ok or all(map(math.isfinite, v))):
+            raise ValueError("point coordinates must be finite")
+        if not ok and min(map(operator.sub, desc, desc[1:]), default=math.inf) <= MIN_POINT_SEPARATION:
             raise DuplicatePointError("points closer than 1e-12 in max norm")
-        return tuple([(x,) for x in (desc if canonical else v)])
+        flat = tuple(desc if canonical else v)
+        return tuple(zip(flat)), flat
     pts = tuple([tuple(map(float, p)) for p in points])
     if not pts:
         raise ValueError("need at least one point")
@@ -58,7 +64,7 @@ def _points(points, canonical: bool) -> tuple[Point, ...]:
     desc = tuple(sorted(pts, reverse=True))
     if len(desc) > 1 and _separation(desc) <= MIN_POINT_SEPARATION:
         raise DuplicatePointError("points closer than 1e-12 in max norm")
-    return desc if canonical else pts
+    return (desc if canonical else pts), None
 
 
 def _min_separation(pts: Sequence[Point]) -> float:
@@ -71,7 +77,7 @@ def _separation(desc: Sequence[Point]) -> float:
     gap between neighbours; for d > 1 a sweep from each p stops once p[0] - q[0]
     (a lower bound, growing along it) reaches the best."""
     if len(desc[0]) == 1:
-        (v,) = zip(*desc)
+        v = [x for (x,) in desc]
         return min(map(operator.sub, v, v[1:]), default=math.inf)
     best = math.inf
     for i, p in enumerate(desc):
@@ -90,7 +96,7 @@ class PointTuple:
     points: tuple[Point, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "points", _points(self.points, canonical=False))
+        object.__setattr__(self, "points", _points(self.points, canonical=False)[0])
 
 
 @dataclass(frozen=True)
@@ -102,9 +108,11 @@ class PointSet:
     """
 
     canonical: tuple[Point, ...]
+    _values: tuple[float, ...] | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "canonical", _points(self.canonical, canonical=True))
+        attrs = self.__dict__  # frozen: set past __setattr__
+        attrs["canonical"], attrs["_values"] = _points(self.canonical, canonical=True)
 
     @property
     def n(self) -> int:
@@ -116,11 +124,10 @@ class PointSet:
 
     @property
     def values(self) -> tuple[float, ...]:
-        """Flat decreasing coordinates; only meaningful for d = 1."""
-        if self.d != 1:
+        """Flat decreasing coordinates, the floats the validator sorted; only meaningful for d = 1."""
+        if self._values is None:
             raise ValueError("flat coordinates are defined for d = 1")
-        (v,) = zip(*self.canonical)
-        return v
+        return self._values
 
 
 def project(t: PointTuple) -> PointSet:
@@ -130,7 +137,7 @@ def project(t: PointTuple) -> PointSet:
 
 def point_set(*coords) -> PointSet:
     """Convenience constructor from unordered scalar coordinates (d = 1)."""
-    return PointSet(tuple([(c,) for c in coords]))
+    return PointSet(tuple(zip(coords)))
 
 
 def sorted_chart(y: PointSet) -> tuple[float, ...]:
@@ -322,18 +329,17 @@ def induced_diffeo_many(theta: Callable, ys: Iterable[PointSet]) -> Iterator[Poi
     stream of subsets is never held as Python objects."""
     sizes = []
 
-    def coords():
-        for y in ys:
-            if y.d != 1:
-                raise ValueError("induced maps are implemented over the line")
-            sizes.append(y.n)
-            yield from y.values
+    def coords(y: PointSet) -> tuple[float, ...]:
+        if y.d != 1:
+            raise ValueError("induced maps are implemented over the line")
+        sizes.append(y.n)
+        return y.values
 
-    out = np.asarray(theta(np.fromiter(coords(), float)), float)
+    out = np.asarray(theta(np.fromiter(itertools.chain.from_iterable(map(coords, ys)), float)), float)
     if out.shape != (sum(sizes),):
         raise ValueError(f"the map returned {out.size} values for {sum(sizes)} points")
     ends = itertools.accumulate(sizes)
-    return (PointSet(tuple([(v,) for v in out[e - n:e].tolist()])) for n, e in zip(sizes, ends))
+    return (PointSet(tuple(zip(out[e - n:e].tolist()))) for n, e in zip(sizes, ends))
 
 
 def pull_back_sets(theta, ys: Sequence[PointSet]) -> tuple[list[PointSet], list[np.ndarray]]:
@@ -360,25 +366,27 @@ class Chart:
     lo: tuple[tuple[float, ...], ...]
     hi: tuple[tuple[float, ...], ...]
     moved: "Diffeo1D | ComposedDiffeo | None" = None
+    _lo: tuple[float, ...] = field(init=False, repr=False, compare=False)  # the corners' coordinates, box by box
+    _hi: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         dims = {len(c) if isinstance(c, (tuple, list, np.ndarray)) else 0 for c in (*self.lo, *self.hi)}
         if len(self.lo) != len(self.hi) or len(dims) != 1 or not (d := dims.pop()):
             raise ValueError("boxes need matching (N, d) corner arrays")
-        lo, hi = [a for c in self.lo for a in c], [b for c in self.hi for b in c]
+        lo, hi = tuple(itertools.chain(*self.lo)), tuple(itertools.chain(*self.hi))
         if not all(map(math.isfinite, lo + hi)):
             raise ValueError("box corners must be finite")
         if any(map(operator.ge, lo, hi)):
             raise ValueError("degenerate box")
         if d == 1:
-            # open intervals sorted by lo meet somewhere exactly when two neighbours do
-            order = sorted(zip(lo, hi))
-            meet = any([a < b for (_, b), (a, _) in zip(order, order[1:])])
+            # open intervals meet exactly when, ends sorted apart, some k-th upper end exceeds the (k+1)-th lower
+            meet = any(map(operator.lt, sorted(lo)[1:], sorted(hi)))
         else:
             meet = any([all(map(operator.lt, map(max, l1, l2), map(min, h1, h2)))
                         for (l1, h1), (l2, h2) in itertools.combinations(zip(self.lo, self.hi), 2)])
         if meet:
             raise ValueError("chart boxes must be pairwise disjoint")
+        self.__dict__.update(_lo=lo, _hi=hi)
 
     @property
     def n(self) -> int:
@@ -392,31 +400,33 @@ class Chart:
         """The one point in each box, in box order: its coordinate for d = 1, the point for d > 1."""
         if y.n != self.n or y.d != self.d:
             raise ChartDomainError("subset has the wrong size for this chart")
-        if self.d == 1:
-            v = y.values
-            boxes = [[x for x in v if a < x < b] for (a,), (b,) in zip(self.lo, self.hi)]
+        if self.d == 1:  # in increasing order, box (a, b) holds u[bisect_right(u, a):bisect_left(u, b)]
+            u = y.values[::-1]
+            boxes = [u[bisect.bisect_right(u, a):bisect.bisect_left(u, b)] for a, b in zip(self._lo, self._hi)]
         else:
             boxes = [[p for p in y.canonical if all(map(operator.lt, lo, p)) and all(map(operator.lt, p, hi))]
                      for lo, hi in zip(self.lo, self.hi)]
-        for k, inside in enumerate(boxes):
-            if len(inside) != 1:
-                raise ChartDomainError(f"box {k} holds {len(inside)} points instead of 1")
-        return [inside[0] for inside in boxes]
+        try:
+            return [p for (p,) in boxes]
+        except ValueError:
+            k = next(k for k, inside in enumerate(boxes) if len(inside) != 1)
+            raise ChartDomainError(f"box {k} holds {len(boxes[k])} points instead of 1") from None
 
     def chart_map(self, y: PointSet) -> np.ndarray:
         """Coordinates of a subset in the chart's domain."""
-        flat = np.array(self._locate(y), float).ravel()
-        return flat if self.moved is None else np.asarray(self.moved.inverse(flat), float)
+        return chart_map_many([(self, y)])[0]
 
     def inverse_map(self, coords: np.ndarray) -> PointSet:
-        flat = np.asarray(coords, float).reshape(self.n * self.d)
-        if self.moved is not None:
-            flat = np.asarray(self.moved(flat), float)
-        d, flat = self.d, flat.tolist()
-        lo, hi = itertools.chain(*self.lo), itertools.chain(*self.hi)
-        if not (all(map(operator.lt, lo, flat)) and all(map(operator.lt, flat, hi))):
-            raise ChartDomainError("coordinates fall outside the chart image")
-        return PointSet(tuple(zip(*[iter(flat)] * d)))  # consecutive runs of d coordinates
+        return next(self.inverse_map_many(np.asarray(coords, float).reshape(1, len(self._lo))))
+
+    def inverse_map_many(self, rows) -> Iterator[PointSet]:
+        """inverse_map of every row of n * d coordinates, in order, from one ``moved`` call on all of them.  A
+        row's bounds are checked, and its PointSet built, when the iterator reaches it."""
+        rows, lo, hi, d = np.asarray(rows, float).reshape(-1, len(self._lo)), self._lo, self._hi, len(self.lo[0])
+        for flat in map(np.ndarray.tolist, rows if self.moved is None else np.asarray(self.moved(rows), float)):
+            if not (all(map(operator.lt, lo, flat)) and all(map(operator.lt, flat, hi))):
+                raise ChartDomainError("coordinates fall outside the chart image")
+            yield PointSet(tuple(zip(*[iter(flat)] * d)))  # consecutive runs of d coordinates
 
     def permuted(self, order: Sequence[int]) -> "Chart":
         order = tuple(order)
@@ -433,12 +443,24 @@ class Chart:
         """
         if self.d != 1:
             raise ValueError("chart transport is implemented over the line")
-        corners = np.asarray(theta(np.array([self.lo, self.hi], float).ravel()), float).tolist()
-        return Chart(
-            tuple([(v,) for v in corners[: self.n]]),
-            tuple([(v,) for v in corners[self.n:]]),
-            theta if self.moved is None else ComposedDiffeo(theta, self.moved),
-        )
+        corners = np.asarray(theta(np.array(self._lo + self._hi, float)), float).tolist()
+        moved = theta if self.moved is None else ComposedDiffeo(theta, self.moved)
+        return Chart(tuple(zip(corners[: self.n])), tuple(zip(corners[self.n:])), moved)
+
+
+def chart_map_many(pairs: Iterable[tuple[Chart, PointSet]]) -> list[np.ndarray]:
+    """Chart.chart_map of every (chart, subset) pair, in order, with one ``moved.inverse`` call per distinct
+    moved map on the coordinates of all its pairs, as the catalog maps and their inverses act per element."""
+    flats, moved = [], {}
+    for chart, y in pairs:
+        if chart.moved is not None:
+            moved.setdefault(chart.moved, []).append(len(flats))
+        flats.append(np.array(chart._locate(y), float).ravel())
+    for theta, idx in moved.items():
+        out = np.asarray(theta.inverse(np.concatenate([flats[i] for i in idx])), float)
+        for i, part in zip(idx, np.split(out, np.cumsum([flats[i].size for i in idx])[:-1])):
+            flats[i] = part
+    return flats
 
 
 def local_chart(y: PointSet, box_radius: float) -> Chart:
@@ -501,8 +523,6 @@ def block_pullback_vs_per_point(theta, ys: Sequence[PointSet], gammas: Sequence)
     """
     if len(ys) != len(gammas):
         raise ValueError(f"{len(ys)} point sets need as many gamma vectors, not {len(gammas)}")
-    if any([y.d != 1 for y in ys]):
-        raise ValueError("implemented over the line")
     pre, derivs = pull_back_sets(theta, ys)
 
     def expr(rows: Iterator[list]) -> Iterator[tuple]:

@@ -19,9 +19,9 @@ import time
 import zlib
 from dataclasses import dataclass, fields, replace
 from functools import partial, reduce
-from operator import mul
+from operator import mul, ne
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -38,6 +38,7 @@ DEFAULT_CATALOG = (
     cfg.sine(0.45),
 )
 MIN_NODES = 8  # the node floor of every suite run and every study rung
+ATLAS_RUN = 200  # consecutive chart-atlas cases checked together, one batched call per catalog map
 
 
 @dataclass(frozen=True)
@@ -156,6 +157,11 @@ def _rng(config: SuiteConfig, label: str) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([config.seed, zlib.crc32(label.encode())]))
 
 
+def _worst(errors: Iterable) -> float:
+    """The largest of some errors (numbers or tuples of them), 0.0 for none, NaN if any is: max() drops NaN."""
+    return float(np.max(np.array(list(errors), float), initial=0.0))
+
+
 def _rel(a: complex, b: complex) -> float:
     return abs(a - b) / max(abs(a), 1e-300)
 
@@ -251,7 +257,7 @@ def random_point_set(rng: np.random.Generator, n: int) -> cfg.PointSet:
     while True:
         pts = sorted(rng.uniform(-3.0, 3.0, size=n).tolist(), reverse=True)
         if n == 1 or min([a - b for a, b in zip(pts, pts[1:])]) > 0.3:
-            return cfg.PointSet(tuple([(p,) for p in pts]))
+            return cfg.PointSet(tuple(zip(pts)))
 
 
 def random_section(
@@ -545,12 +551,8 @@ def _kspace_family(config: SuiteConfig, out: _Rows) -> None:
     while y2 == y1:
         y2 = random_point_set(rng, 1)
     fam = [kspace.basis_element(y1, j, measure, quad) for j in range(3)]
-    worst = 0.0
-    for a_idx in range(3):
-        for b_idx in range(3):
-            val = kspace.k_inner(fam[a_idx], fam[b_idx], quad)
-            want = 1.0 if a_idx == b_idx else 0.0
-            worst = max(worst, abs(val - want))
+    worst = _worst(abs(kspace.k_inner(fam[a], fam[b], quad) - (1.0 if a == b else 0.0))
+                   for a in range(3) for b in range(3))
     out.add("family-orthonormal", worst, 0.0, 1e-9, err=worst)
     cross = kspace.k_inner(fam[0], kspace.basis_element(y2, 0, measure, quad), quad)
     out.add("family-distinct-points", cross, 0.0, 0, err=abs(cross))
@@ -615,47 +617,53 @@ def _suite_chart_atlas(config: SuiteConfig, out: _Rows) -> None:
         fails += not np.array_equal(moved, coords.reshape(n, -1)[list(perm)].ravel())
     out.add(f"transition-permutation[{n_each}]", 1.0, 1.0, 0, err=float(fails))
 
-    fails = 0
-    for i, _, _, y in draws("homomorphism", 1, 5):
-        th1 = catalog[i % len(catalog)]
-        th2 = catalog[(i + 1) % len(catalog)]
-        seq = cfg.induced_diffeo(th1, cfg.induced_diffeo(th2, y))
-        fails += seq != cfg.induced_diffeo(cfg.ComposedDiffeo(th1, th2), y)
+    def by_map(check: str, batch: Callable[..., list], extra=lambda rng, n: None):
+        # case i is drawn with its extra draws right after its set; batch(k, ys, extras) checks, in one call, the cases
+        # of catalog[k] (k = i % len(catalog)) among ATLAS_RUN consecutive ones; results come back in the order of i
+        run = []
+        for i, rng, n, y in draws(check, 1, 5):
+            run.append((y, extra(rng, n)))
+            if len(run) == ATLAS_RUN or i == n_each - 1:
+                results, first = [None] * len(run), i + 1 - len(run)
+                for j in range(len(catalog)):
+                    if group := run[j::len(catalog)]:
+                        results[j::len(catalog)] = batch((first + j) % len(catalog), *zip(*group))
+                yield from results
+                run = []
+
+    def homomorphism(k: int, ys: tuple, _) -> list:
+        th1, th2 = catalog[k], catalog[(k + 1) % len(catalog)]
+        seq = cfg.induced_diffeo_many(th1, cfg.induced_diffeo_many(th2, ys))
+        return list(map(ne, seq, cfg.induced_diffeo_many(cfg.ComposedDiffeo(th1, th2), ys)))
+
+    fails = sum(by_map("homomorphism", homomorphism))
     out.add(f"induced-homomorphism[{n_each}]", 1.0, 1.0, 0, err=float(fails))
 
-    worst = 0.0
-    for i, _, _, y in draws("transport", 1, 5):
-        theta = catalog[i % len(catalog)]
-        chart = cfg.local_chart(y, 0.1)
-        moved_y = cfg.induced_diffeo(theta, y)
-        diff = np.abs(chart.transported(theta).chart_map(moved_y) - chart.chart_map(y))
-        worst = max(worst, float(diff.max()))
+    def transport(k: int, ys: tuple, _) -> list:
+        charts = [(cfg.local_chart(y, 0.1), y) for y in ys]
+        moved = [(chart.transported(catalog[k]), cfg.induced_diffeo(catalog[k], y)) for chart, y in charts]
+        return [float(np.abs(a - b).max()) for a, b in zip(cfg.chart_map_many(moved), cfg.chart_map_many(charts))]
+
+    worst = _worst(by_map("transport", transport))
     out.add(f"transported-chart[{n_each}]", worst, 0.0, 1e-12, err=worst)
 
-    # every case is drawn first, in the substream's order; then case i is checked in one call with all the
-    # cases of its map, catalog[i % len(catalog)], and its errors are taken in the order of i
-    cases = [(y, rng.uniform(0.5, 3.0, size=n)) for _, rng, n, y in draws("blocks", 1, 5)]
-    errors = [None] * len(cases)
-    for k, theta in enumerate(catalog):
-        group = cases[k::len(catalog)]
-        checked = cfg.block_pullback_vs_per_point(theta, [y for y, _ in group], [g for _, g in group])
-        errors[k::len(catalog)] = [(float(np.max(np.abs(fd - pred) / np.abs(pred))), off) for fd, pred, off in checked]
-    worst = 0.0
-    for rel, off in errors:
-        worst = max(worst, rel, off)
+    def blocks(k: int, ys: tuple, gammas: tuple) -> list:
+        checked = cfg.block_pullback_vs_per_point(catalog[k], ys, gammas)
+        return [(float(np.max(np.abs(fd - pred) / np.abs(pred))), off) for fd, pred, off in checked]
+
+    worst = _worst(by_map("blocks", blocks, extra=lambda rng, n: rng.uniform(0.5, 3.0, size=n)))
     out.add(f"block-pullback[{n_each}]", worst, 0.0, 1e-10, err=worst)
 
+    # both jittered copies of the base coordinates of every case, as rows; their inverse maps stream through
     rng = _rng(config, "atlas-injectivity")
     n = 3
     y = random_point_set(rng, n)
     chart = cfg.local_chart(y, 0.1)
-    base = chart.chart_map(y)
-    jitter = rng.uniform(-0.09, 0.09, size=(config.trials, 2, n))
-    collisions = 0
-    for a, b in jitter:
-        ca, cb = base + a, base + b
-        if not np.array_equal(ca, cb) and chart.inverse_map(ca) == chart.inverse_map(cb):
-            collisions += 1
+    rows = rng.uniform(-0.09, 0.09, size=(config.trials, 2, n))
+    rows += chart.chart_map(y)
+    same = (rows[:, 0] == rows[:, 1]).all(axis=1)
+    sets = chart.inverse_map_many(rows)
+    collisions = sum(not s and a == b for s, a, b in zip(same, sets, sets))
     out.add(f"injectivity[{config.trials}]", collisions, 0.0, 0, err=float(collisions))
 
 

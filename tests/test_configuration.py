@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from sigcone.configuration import (
     soft,
     sorted_chart,
 )
-from sigcone import configuration
+from sigcone import configuration, harness
 from sigcone.configuration import _min_separation, jacobian_fd
 from sigcone.harness import DEFAULT_CATALOG, SuiteConfig, run_suite
 
@@ -597,26 +598,60 @@ def test_induced_diffeo_many_equals_one_call_per_set(ys, theta, inverse):
 
 
 def test_block_pullback_inverts_once_per_map(monkeypatch):
-    """A default chart-atlas run: the block-pullback check makes one Newton inverse call per non-affine
-    catalog map, so the run makes 2 there and 1000 in the transported-chart check."""
-    calls, inside = [], []
-    newton, check = configuration._monotone_inverse, configuration.block_pullback_vs_per_point
+    """A default chart-atlas run checks its cases in runs of ATLAS_RUN: transported-chart and block-pullback
+    make one Newton inverse call per non-affine catalog map and run, every check still builds the point sets
+    and charts it claims, and the traced peak stays flat in trials, as no check holds all its cases."""
+    calls, built = [], {cls: itertools.count() for cls in (PointSet, PointTuple, Chart)}
+    newton = configuration._monotone_inverse
+    monkeypatch.setattr(configuration, "_monotone_inverse", lambda theta, y: calls.append(theta) or newton(theta, y))
+    for cls, count in built.items():
+        monkeypatch.setattr(cls, "__post_init__", lambda self, init=cls.__post_init__, c=count: init(self) or next(c))
+    tracemalloc.start()
+    try:
+        run_suite("chart-atlas", SuiteConfig(seed=20240613, nodes_per_dim=16, trials=10000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    runs = math.ceil(2000 / harness.ATLAS_RUN)
+    assert len(calls) == 2 * runs * 2  # soft(0.8, 0.9) and sine(0.45), in each run of both checks
+    assert [next(count) for count in built.values()] == [87961, 2000, 10001]
+    assert peak <= 1.5e6
 
-    def counted_newton(theta, y):
-        calls.append(theta)
-        return newton(theta, y)
 
-    def counted_check(theta, ys, gammas):
-        before = len(calls)
-        out = check(theta, ys, gammas)
-        inside.append(len(calls) - before)
-        return out
+@st.composite
+def _charted_set(draw):
+    """A chart around 1..5 points, never moved, moved by one DEFAULT_CATALOG map or by two, and a subset
+    inside it, moved along, with a few coordinate rows inside the chart's domain."""
+    n = draw(st.integers(1, 5))
+    centres = np.cumsum(draw(st.lists(st.floats(0.5, 2.0), min_size=n, max_size=n))) - 4.0
+    chart = local_chart(point_set(*centres), 0.2)
+    y = point_set(*(centres + draw(st.lists(st.floats(-0.19, 0.19), min_size=n, max_size=n))))
+    for theta in draw(st.sampled_from([(), *[(t,) for t in DEFAULT_CATALOG], (soft(0.8, 0.9), sine(0.45)),
+                                       (affine(1.6, 0.35), soft(0.8, 0.9))])):
+        chart, y = chart.transported(theta), induced_diffeo(theta, y)
+    jitter = draw(st.lists(st.floats(-0.005, 0.005), min_size=3 * n, max_size=3 * n))
+    return chart, y, chart.chart_map(y) + np.reshape(jitter, (3, n))
 
-    monkeypatch.setattr(configuration, "_monotone_inverse", counted_newton)
-    monkeypatch.setattr(configuration, "block_pullback_vs_per_point", counted_check)
-    run_suite("chart-atlas", SuiteConfig(seed=20240613, nodes_per_dim=16, trials=10000))
-    assert inside == [0, 0, 1, 1]  # affine(1.6, 0.35), affine(0.7, -0.8), soft(0.8, 0.9), sine(0.45)
-    assert len(calls) == 1002
+
+@given(st.lists(_charted_set(), min_size=1, max_size=12))
+def test_batched_chart_maps_equal_one_chart_at_a_time(cases):
+    """chart_map_many groups the pairs by moved map and inverse_map_many moves all rows of a chart at once;
+    both return the floats and point sets of one call per pair and per row."""
+    got = configuration.chart_map_many([(chart, y) for chart, y, _ in cases])
+    assert [a.tobytes() for a in got] == [chart.chart_map(y).tobytes() for chart, y, _ in cases]
+    for chart, _, rows in cases:
+        assert list(chart.inverse_map_many(rows)) == [chart.inverse_map(row) for row in rows]
+
+
+def test_batched_chart_maps_refuse_a_subset_or_row_outside():
+    chart = local_chart(point_set(1.0, 4.0), 1.0).transported(soft(0.8, 0.9))
+    inside = induced_diffeo(soft(0.8, 0.9), point_set(1.5, 3.5))
+    with pytest.raises(ChartDomainError):
+        configuration.chart_map_many([(chart, inside), (chart, point_set(1.5, 70.0)), (chart, inside)])
+    rows = iter(chart.inverse_map_many([[3.5, 1.5], [3.5, 2.5], [4.5, 0.5]]))
+    assert next(rows) == inside
+    with pytest.raises(ChartDomainError):
+        next(rows)
 
 
 def _jacobian_fd_per_column(func, x):

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from sigcone import configuration, densities, harness, hspace
+from sigcone import configuration, densities, harness, hspace, kspace
 from sigcone.cli import main
 from sigcone.configuration import Diffeo1D
 from sigcone.harness import (
@@ -171,6 +171,25 @@ def test_chart_atlas_rows_count_the_cases_that_broke(monkeypatch):
     rows = {r.case_id: r for r in result.rows}
     assert not rows["projection[10]"].verdict and rows["projection[10]"].rel_err == 5.0
     assert all(r.verdict for case_id, r in rows.items() if case_id != "projection[10]")
+
+
+def test_transported_chart_fails_on_a_nan_chart_map(monkeypatch):
+    """A transported chart whose map returns NaN: the row's worst error is NaN and the row fails, where a
+    running max(worst, err) kept 0.0 and passed it."""
+    locate = configuration.Chart._locate
+    monkeypatch.setattr(configuration.Chart, "_locate",
+                        lambda self, y: [math.nan] * self.n if self.moved is not None else locate(self, y))
+    rows = {r.case_id: r for r in run_suite("chart-atlas", default_config("chart-atlas", trials=50)).rows}
+    assert math.isnan(rows["transported-chart[10]"].lhs) and not rows["transported-chart[10]"].verdict
+
+
+def test_family_orthonormal_fails_on_a_nan_inner_product(monkeypatch):
+    calls, real = itertools.count(), kspace.k_inner
+    monkeypatch.setattr(kspace, "k_inner", lambda a, b, quad: math.nan if next(calls) == 4 else real(a, b, quad))
+    out = _Rows("kspace-axioms", default_config("kspace-axioms"))
+    harness._kspace_family(out.config, out)  # k_inner of the family's 9 pairs, the fifth NaN, then one more
+    row = next(r for r in out.rows if r.case_id == "family-orthonormal")
+    assert math.isnan(row.lhs) and not row.verdict
 
 
 def test_measure_invariance_doubled_rule_floor():
